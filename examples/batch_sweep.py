@@ -4,7 +4,7 @@
 Where ``design_space_explorer.py`` characterises one container in isolation,
 this example sweeps *whole designs*: every (design, binding, pixel format,
 frame size, capacity) combination is expanded into a grid, each point is
-simulated end-to-end through the event-driven simulator, verified against
+simulated end-to-end through the compiled simulator, verified against
 its golden model, and characterised for area/clock/power — with memoization
 so a repeated point costs nothing.
 
@@ -32,7 +32,7 @@ def main() -> None:
 
     runner = ExplorationRunner()
     results = runner.run(points)
-    print(comparison_report(results, title="Batched sweep (event-driven simulation)."))
+    print(comparison_report(results, title="Batched sweep (compiled simulation)."))
 
     assert all(res.verified for res in results), "every point must match its golden model"
     print(f"all {len(results)} points verified against their golden models")

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grid", metavar="PATH", default=None,
                      help="JSON grid spec file (CLI axis flags override it)")
     run.add_argument("--strategy", default=AUTO,
-                     choices=(AUTO, "event", "fixpoint", "compiled",
+                     choices=(AUTO, "fixpoint", "compiled",
                               COMPILED_BATCHED))
     run.add_argument("--processes", type=int, default=None, metavar="N",
                      help="fan uncached points over a process pool")

@@ -18,13 +18,20 @@ from typing import Callable, Sequence
 from ...obs import tracing as _obs_tracing
 from .analyze import ProcAnalysis, analyze_proc
 from .emit import CompiledProgram, CompileReport, emit_program
-from .emit_batched import (
-    BatchedProgram,
-    BatchReport,
-    VectorizeError,
-    emit_batched_program,
-)
 from .schedule import Schedule, build_schedule
+
+#: Batched-backend names, imported on first use so a scalar compile does not
+#: pay for loading the vectorizing emitter.
+_BATCHED = ("BatchedProgram", "BatchReport", "VectorizeError",
+            "emit_batched_program")
+
+
+def __getattr__(name: str):
+    if name in _BATCHED:
+        from . import emit_batched
+
+        return getattr(emit_batched, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def compile_design(comb_procs: Sequence[Callable],

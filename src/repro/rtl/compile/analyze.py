@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import linecache
 import textwrap
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
@@ -120,11 +121,63 @@ def _proc_source(func: Callable) -> Optional[str]:
         return _SOURCE_CACHE[code]
     except KeyError:
         pass
-    try:
-        source = textwrap.dedent(inspect.getsource(func))
-    except (OSError, TypeError, SyntaxError, IndentationError):
-        source = None
+    # ``inspect`` follows ``__wrapped__`` to the decorated function.
+    source = None if hasattr(func, "__wrapped__") else _def_block_source(code)
+    if source is None:
+        try:
+            source = textwrap.dedent(inspect.getsource(func))
+        except (OSError, TypeError, SyntaxError, IndentationError):
+            source = None
     _SOURCE_CACHE[code] = source
+    return source
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
+
+
+def _def_block_source(code) -> Optional[str]:
+    """The dedented ``def`` block ``code`` was compiled from, or None.
+
+    ``inspect.getsource`` finds where a block ends by tokenizing it, which
+    costs more than analysing a small design.  Here the block ends at the
+    first code line indented no deeper than the ``def`` line.  A cut that
+    falls inside a bracket or a string does not parse, so that (and any
+    other surprise) returns None and the caller falls back to ``inspect``.
+    """
+    if code.co_name == "<lambda>":
+        return None
+    lines = linecache.getlines(code.co_filename)
+    start = code.co_firstlineno - 1
+    if not 0 <= start < len(lines):
+        return None
+    base = _indent(lines[start])
+    end = start
+    # Decorator lines come first, at the ``def`` line's indentation.
+    while end < len(lines) and not (
+            _indent(lines[end]) == base
+            and lines[end].lstrip().startswith(("def ", "async def "))):
+        end += 1
+    if end == len(lines):
+        return None
+    end += 1
+    while end < len(lines):
+        stripped = lines[end].strip()
+        if stripped and not stripped.startswith("#") \
+                and _indent(lines[end]) <= base:
+            break
+        end += 1
+    while lines[end - 1].strip().startswith("#") or not lines[end - 1].strip():
+        end -= 1  # trailing comments belong to what follows
+    source = textwrap.dedent("".join(lines[start:end]))
+    try:
+        tree = ast.parse(source)
+    except (SyntaxError, ValueError):
+        return None
+    if len(tree.body) != 1 or not isinstance(
+            tree.body[0], (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            or tree.body[0].name != code.co_name:
+        return None
     return source
 
 
@@ -290,7 +343,7 @@ class _Analyzer:
                 except (IndexError, TypeError, KeyError):
                     return _FAIL
             if base:
-                return AnyOf(list(base)) if len(base) > 1 else base[0]
+                return AnyOf(_distinct(base)) if len(base) > 1 else base[0]
             return _FAIL
         if isinstance(base, dict):
             if index is not _FAIL and not isinstance(index, AnyOf):
@@ -811,6 +864,18 @@ class _Analyzer:
         sub.visit_body(parsed.body)
 
 
+def _distinct(values) -> List[Any]:
+    """The candidates a dynamic subscript of ``values`` can yield.
+
+    A container of plain ints (a pixel queue, a lookup table) collapses to
+    its distinct values, so analysis cost does not grow with queued
+    stimulus; any other container keeps every element.
+    """
+    if set(map(type, values)) == {int}:
+        return list(dict.fromkeys(values))
+    return list(values)
+
+
 def _expand(obj: Any):
     if isinstance(obj, AnyOf):
         for opt in obj.options:
@@ -832,9 +897,7 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
     """Analyse one combinational process.
 
     Returns a :class:`ProcAnalysis` whose ``reads``/``writes`` over-approximate
-    every branch of the process.  A declared sensitivity list
-    (``Component.comb(..., sensitivity=...)``) is honoured as additional
-    reads, mirroring the event-driven scheduler's trust in declared lists.
+    every branch of the process.
     """
     analysis = ProcAnalysis(proc=proc)
     parsed = _parse_proc(proc)
@@ -875,17 +938,8 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
         units.append(unit)
         if not walker.stmt_transpilable:
             splittable = False
-    declared = getattr(proc, "sensitivity", None)
-    if declared is not None:
-        for obj in declared:
-            if isinstance(obj, Signal):
-                analysis.reads.add(obj)
-            elif isinstance(obj, Memory):
-                analysis.mem_reads.add(obj)
     analysis.local_names = set(walker.locals)
-    # A declared sensitivity list applies to the whole process, so such a
-    # process is kept as a single call unit rather than split.
-    if splittable and not analysis.opaque and units and declared is None:
+    if splittable and not analysis.opaque and units:
         analysis.units = units
     return analysis
 
@@ -893,6 +947,8 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
 def _locals_used(stmt: ast.stmt, walker: _Analyzer) -> Set[str]:
     """Names of process-local temporaries referenced anywhere in ``stmt``."""
     used: Set[str] = set()
+    if not walker.locals:
+        return used
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name) and node.id in walker.locals:
             used.add(node.id)

@@ -181,7 +181,7 @@ class _Transpiler(ast.NodeTransformer):
         transformed = self.visit(node.value)
         if isinstance(transformed, (ast.Attribute, ast.Constant, ast.Name)):
             return None
-        return ast.Expr(value=transformed)
+        return ast.copy_location(ast.Expr(value=transformed), node)
 
     def visit_Assign(self, node: ast.Assign):
         target = node.targets[0]
@@ -194,14 +194,14 @@ class _Transpiler(ast.NodeTransformer):
             if not self.guarded:
                 # Fused write+commit: topological order guarantees no
                 # earlier unit wanted the old value.
-                return ast.Assign(
+                return ast.copy_location(ast.Assign(
                     targets=[
                         ast.Attribute(value=ast.Name(id=slot, ctx=ast.Load()),
                                       attr="_value", ctx=ast.Store()),
                         ast.Attribute(value=ast.Name(id=slot, ctx=ast.Load()),
                                       attr="_next", ctx=ast.Store()),
                     ],
-                    value=masked)
+                    value=masked), node)
             temp = f"_v{self.proc_tag}_{self.temp_counter}"
             self.temp_counter += 1
             return _parse_stmts(
@@ -237,9 +237,10 @@ def _parse_stmts(source: str) -> List[ast.stmt]:
 
 
 def _unparse_block(stmts: Sequence[ast.stmt], indent: str) -> List[str]:
+    # ``ast.unparse`` reads ``lineno`` of statements only; the transpiler
+    # copies it onto every statement it builds.
     lines: List[str] = []
     for stmt in stmts:
-        ast.fix_missing_locations(stmt)
         for line in ast.unparse(stmt).splitlines():
             lines.append(indent + line)
     return lines

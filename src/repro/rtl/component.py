@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional
 
-from . import signal as _signal_state
 from .errors import ElaborationError
 from .signal import REG, WIRE, Signal
 
@@ -48,17 +47,14 @@ class Memory:
         self._data = [int(v) & self._mask for v in contents]
         self._data += [0] * (depth - len(self._data))
         self._init = list(self._data)
-        #: Scheduler notified on writes (event-driven simulation).  Sensitivity
-        #: is whole-memory: any write wakes every process that read the array.
+        #: Simulator notified on writes (compiled and batched strategies);
+        #: any write marks the whole network for a re-settle.
         self._sched = None
 
     def __len__(self) -> int:
         return self.depth
 
     def __getitem__(self, addr: int) -> int:
-        reads = _signal_state._active_reads
-        if reads is not None:
-            reads.add(self)
         return self._data[int(addr) % self.depth]
 
     def __setitem__(self, addr: int, value: int) -> None:
@@ -216,32 +212,8 @@ class Component:
 
     # -- processes ----------------------------------------------------------------
 
-    def comb(self, func: Optional[Process] = None, *,
-             sensitivity: Optional[list] = None) -> Process:
-        """Register (or decorate) a combinational process.
-
-        ``sensitivity`` optionally declares the process's input set (signals
-        and/or memories) up front, like a VHDL sensitivity list.  The
-        event-driven scheduler then wakes the process on exactly those
-        objects and skips read-tracing it; the declared set must therefore
-        cover **everything** the process ever reads — an omission means
-        missed wake-ups.  Without it (the common case) the scheduler infers
-        the set automatically by tracing reads on every evaluation.
-
-        Both decorator forms work::
-
-            @self.comb
-            def wires(): ...
-
-            @self.comb(sensitivity=[self.a, self.b])
-            def wires(): ...
-        """
-        if func is None:
-            def wrap(inner: Process) -> Process:
-                return self.comb(inner, sensitivity=sensitivity)
-            return wrap
-        if sensitivity is not None:
-            func.sensitivity = tuple(sensitivity)
+    def comb(self, func: Process) -> Process:
+        """Register (or decorate) a combinational process."""
         self._comb_procs.append(func)
         return func
 

@@ -65,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"root seed for every proposal draw "
                              f"(default: ${SEED_ENV} or 0)")
     search.add_argument("--strategy", default=COMPILED_BATCHED,
-                        choices=("event", "fixpoint", "compiled",
-                                 COMPILED_BATCHED))
+                        choices=("fixpoint", "compiled", COMPILED_BATCHED))
     search.add_argument("--batch", type=int, default=1, metavar="N",
                         help="proposals per round; fresh seeds in a round "
                              "share one lockstep simulation (default: 1)")

@@ -42,6 +42,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..explore.runner import resolve_strategy
 from ..obs import tracing as _obs_tracing
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..rtl import COMPILED_BATCHED
@@ -84,6 +85,10 @@ class SearchConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        # Reject unknown strategies here, not as a failed job later; the
+        # ``"auto"`` alias is stored resolved, since sessions need a
+        # concrete engine.
+        object.__setattr__(self, "strategy", resolve_strategy(self.strategy))
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -87,6 +87,9 @@ class SweepConfig:
     #: cache key: tracing observes a sweep, it does not change its results.
     trace: bool = False
 
+    def __post_init__(self) -> None:
+        self.cache_strategy()  # an unknown strategy is a ValueError here
+
     def cache_strategy(self) -> str:
         from ..explore.runner import resolve_strategy
         from ..rtl import COMPILED, COMPILED_BATCHED

@@ -59,6 +59,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
+from urllib.parse import parse_qsl
 
 from ..obs.metrics import REGISTRY, render_prometheus
 from .jobs import JobManager, SweepConfig
@@ -133,7 +134,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ApiError(400, f"bad Content-Length header {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ApiError(400, "empty request body")
@@ -148,14 +155,8 @@ class _Handler(BaseHTTPRequestHandler):
         return tuple(part for part in path.split("/") if part)
 
     def _query(self) -> dict:
-        if "?" not in self.path:
-            return {}
-        query = {}
-        for pair in self.path.split("?", 1)[1].split("&"):
-            if "=" in pair:
-                name, value = pair.split("=", 1)
-                query[name] = value
-        return query
+        """The URL-decoded query parameters (last value wins)."""
+        return dict(parse_qsl(self.path.partition("?")[2]))
 
     # -- methods -----------------------------------------------------------
 
@@ -280,7 +281,11 @@ class _Handler(BaseHTTPRequestHandler):
         """NDJSON event stream; ``?follow=1`` tails until the job ends."""
         query = self._query()
         follow = query.get("follow", "0") not in ("0", "false", "")
-        index = int(query.get("since", 0))
+        try:
+            index = int(query.get("since", 0))
+        except ValueError:
+            raise ApiError(400, f"bad 'since' value {query['since']!r}"
+                           ) from None
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         # Chunked would need framing; close-delimited is simpler for curl.

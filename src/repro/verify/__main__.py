@@ -40,9 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"root seeds to run (default: ${SEED_ENV} or 0)")
     parser.add_argument("--cycles", type=int, default=None,
                         help="cycle budget override (default: per-target)")
-    parser.add_argument("--strategy", default="event",
-                        choices=("event", "fixpoint", "compiled",
-                                 "compiled-batched"))
+    parser.add_argument("--strategy", default="compiled",
+                        choices=("fixpoint", "compiled", "compiled-batched"))
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the merged coverage database here")
     parser.add_argument("--min-coverage", type=float, default=None, metavar="PCT",

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..rtl import (
+    COMPILED,
     COMPILED_BATCHED,
-    EVENT,
     BatchedSimulator,
     Component,
     Simulator,
@@ -653,7 +653,7 @@ def _resolve_bench(target: Union[str, Component], pool: RngPool,
 
 
 def verify(target: Union[str, Component], seed: int = 0,
-           cycles: Optional[int] = None, strategy: str = EVENT,
+           cycles: Optional[int] = None, strategy: str = COMPILED,
            strict: bool = False) -> VerifyResult:
     """Run one constrained-random verification session.
 
@@ -671,8 +671,8 @@ def verify(target: Union[str, Component], seed: int = 0,
         Simulated cycle budget (default: the target's registered budget,
         or 1500 for ad-hoc components).
     strategy:
-        Settle strategy — sessions behave identically under ``event``,
-        ``fixpoint``, ``compiled`` and (as a one-lane batch)
+        Settle strategy — sessions behave identically under ``compiled``
+        (the default), ``fixpoint`` and (as a one-lane batch)
         ``compiled-batched``.
     strict:
         Raise :class:`VerificationError` on the first violation instead of
@@ -792,7 +792,7 @@ def verify_gains(target: Union[str, Component], seeds: Sequence[int],
 
 def verify_all(targets: Optional[Sequence[str]] = None,
                seeds: Sequence[int] = (0,), cycles: Optional[int] = None,
-               strategy: str = EVENT) -> tuple:
+               strategy: str = COMPILED) -> tuple:
     """Run a seed matrix over many targets; returns (results, merged DB)."""
     names = list(targets) if targets else list(TARGETS)
     results: List[VerifyResult] = []

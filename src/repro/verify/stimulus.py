@@ -16,7 +16,7 @@ The session loop drives the two-phase handshake explicitly::
     sim.step()               # clock edge
 
 Drivers use :meth:`Signal.force`, the sanctioned test-bench poke, so they
-work identically under the fixpoint, event-driven and compiled settle
+work identically under the compiled, batched and fixpoint settle
 strategies.
 """
 

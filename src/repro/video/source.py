@@ -50,17 +50,19 @@ class VideoStreamSource(Component):
         self._index = self.state(32, name=f"{name}_index")
         self._stall = self.state(16, name=f"{name}_stall")
         self.pixels_sent = self.state(32, name=f"{name}_pixels_sent")
-        # Sensitivity anchor for the event-driven scheduler: ``drive`` depends
-        # on the *length* of the Python-level pixel queue, which signal
-        # tracing cannot see.  The anchor signal is read by ``drive`` (so the
-        # scheduler records the dependency) and forced whenever the queue
-        # grows (so ``drive`` is woken); its value itself is never used.
+        # Queue-growth anchor: ``drive`` depends on the *length* of the
+        # Python-level pixel queue, which no signal carries.  Forcing this
+        # signal whenever the queue grows marks a compiled (or batched)
+        # simulator dirty, so the next cycle runs its leading settle and
+        # ``drive`` offers the new pixel before ``advance`` accepts it.
+        # Without it that settle is skipped on a quiescent network and
+        # ``advance`` takes a pixel ``drive`` never offered.  Its value
+        # itself is never used.
         self._queued = self.signal(32, init=len(self._pixels) & 0xFFFFFFFF,
                                    name=f"{name}_queued")
 
         @self.comb
         def drive() -> None:
-            self._queued.value  # sensitivity anchor (see above)
             index = self._index.value
             have_pixel = index < len(self._pixels)
             stalled = self._stall.value != 0
@@ -96,7 +98,7 @@ class VideoStreamSource(Component):
         self._notify_queued()
 
     def _notify_queued(self) -> None:
-        """Wake ``drive`` after the pixel queue grew (see ``_queued``)."""
+        """Re-settle ``drive`` after the pixel queue grew (see ``_queued``)."""
         anchor = getattr(self, "_queued", None)
         if anchor is not None:
             anchor.force(len(self._pixels) & 0xFFFFFFFF)

@@ -15,7 +15,7 @@ from repro.explore import (
     resolve_strategy,
     results_table,
 )
-from repro.rtl import COMPILED, EVENT, FIXPOINT
+from repro.rtl import COMPILED, FIXPOINT
 
 SMALL_GRID = dict(designs=("saa2vga",), pixel_formats=("gray8",),
                   frame_sizes=((8, 4),), capacities=(8, 16))
@@ -165,7 +165,6 @@ def test_runner_rejects_bad_processes():
 
 def test_auto_strategy_resolves_to_fastest_backend():
     assert resolve_strategy(AUTO) == COMPILED
-    assert resolve_strategy(EVENT) == EVENT
     assert resolve_strategy(FIXPOINT) == FIXPOINT
     with pytest.raises(ValueError):
         resolve_strategy("levelized")
@@ -173,40 +172,40 @@ def test_auto_strategy_resolves_to_fastest_backend():
         ExplorationRunner(strategy="levelized")
 
 
-def test_runner_default_strategy_is_auto_and_agrees_with_event():
+def test_runner_default_strategy_is_auto_and_agrees_with_fixpoint():
     points = expand_grid(**SMALL_GRID)
     auto_results = ExplorationRunner().run(points)
-    event_results = ExplorationRunner(strategy=EVENT).run(points)
-    for auto_res, event_res in zip(auto_results, event_results):
-        assert auto_res.verified and event_res.verified
-        assert auto_res.cycles == event_res.cycles
-        assert auto_res.throughput == event_res.throughput
+    oracle_results = ExplorationRunner(strategy=FIXPOINT).run(points)
+    for auto_res, oracle_res in zip(auto_results, oracle_results):
+        assert auto_res.verified and oracle_res.verified
+        assert auto_res.cycles == oracle_res.cycles
+        assert auto_res.throughput == oracle_res.throughput
 
 
 def test_memo_keys_include_strategy():
     """Switching strategy on a live runner must re-simulate, not reuse the
     other strategy's cached results."""
     points = expand_grid(**SMALL_GRID)
-    runner = ExplorationRunner(strategy=EVENT)
-    event_results = runner.run(points)
+    runner = ExplorationRunner(strategy=FIXPOINT)
+    oracle_results = runner.run(points)
     assert runner.evaluations == len(points)
 
     runner.strategy = COMPILED
     compiled_results = runner.run(points)
     assert runner.evaluations == 2 * len(points), \
-        "compiled results must not be served from the event cache"
+        "compiled results must not be served from the fixpoint cache"
     assert runner.cache_hits == 0
     # Results agree (the strategies are equivalent), but are distinct objects
     # because each was simulated under its own strategy.
-    for ev, cp in zip(event_results, compiled_results):
-        assert ev is not cp
-        assert ev.cycles == cp.cycles
+    for fp, cp in zip(oracle_results, compiled_results):
+        assert fp is not cp
+        assert fp.cycles == cp.cycles
 
-    # Flipping back serves the original event results from the memo.
-    runner.strategy = EVENT
+    # Flipping back serves the original fixpoint results from the memo.
+    runner.strategy = FIXPOINT
     again = runner.run(points)
     assert runner.cache_hits == len(points)
-    assert [id(res) for res in again] == [id(res) for res in event_results]
+    assert [id(res) for res in again] == [id(res) for res in oracle_results]
 
 
 def test_memo_treats_auto_and_compiled_as_the_same_key():

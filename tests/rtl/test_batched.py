@@ -16,7 +16,6 @@ from repro.designs import VideoSystem, build_saa2vga_pattern
 from repro.rtl import (
     COMPILED,
     COMPILED_BATCHED,
-    EVENT,
     FIXPOINT,
     BatchedSimulator,
     Component,
@@ -158,7 +157,7 @@ def test_unvectorizable_proc_falls_back_per_lane():
     scalars = []
     for value in values:
         top = _Checksum()
-        sim = Simulator(top, strategy=EVENT)
+        sim = Simulator(top, strategy=COMPILED)
         trace = []
         for cycle in range(8):
             top.inp.force((value ^ (cycle * 37)) & 0xFF)
@@ -325,7 +324,7 @@ def test_scalar_simulator_supersedes_batch():
     tops = [_Toggler(), _Toggler()]
     batch = BatchedSimulator(tops)
     batch.step(2)
-    replacement = Simulator(tops[0], strategy=EVENT)
+    replacement = Simulator(tops[0], strategy=COMPILED)
     with pytest.raises(SimulationError):
         batch.step()
     with pytest.raises(SimulationError):

@@ -407,30 +407,6 @@ def test_compiled_force_wakes_the_schedule():
     assert top.out.value == top.y.value
 
 
-def test_compiled_declared_sensitivity_is_respected():
-    class Declared(Component):
-        def __init__(self):
-            super().__init__("declared")
-            self.a = self.state(8)
-            self.b = self.signal(8)
-
-            @self.comb(sensitivity=[self.a])
-            def mirror():
-                self.b.next = self.a.value
-
-            @self.seq
-            def advance():
-                self.a.next = self.a.value + 1
-
-    results = []
-    for strategy in (FIXPOINT, COMPILED):
-        top = Declared()
-        sim = Simulator(top, strategy=strategy)
-        sim.step(5)
-        results.append((top.a.value, top.b.value))
-    assert results[0] == results[1]
-
-
 def test_compile_design_report_counts():
     top = _Chained()
     program = compile_design(top.all_comb_procs(), top.all_seq_procs())
@@ -447,3 +423,45 @@ def test_source_cache_makes_recompiles_cheap():
     first = Simulator(_Plumbing(), strategy=COMPILED)
     second = Simulator(_Plumbing(), strategy=COMPILED)
     assert first.compiled_source == second.compiled_source
+
+
+def test_def_block_source_matches_inspect_and_falls_back():
+    """Process source is read without tokenizing: the ``def`` block ends at
+    the first code line no deeper than the ``def``.  Trailing comments are
+    dropped, and anything that does not parse back into the one function
+    (lambdas, a body comment left of the ``def``) is left to ``inspect``."""
+    import inspect
+    import textwrap
+
+    from repro.rtl.compile.analyze import _def_block_source
+
+    top = _Plumbing()
+    (wires,) = top.comb_procs
+    assert _def_block_source(wires.__code__) == \
+        textwrap.dedent(inspect.getsource(wires))
+
+    def tidy():
+        return 1
+    # a trailing comment at the enclosing indentation
+    assert _def_block_source(tidy.__code__) == "def tidy():\n    return 1\n"
+
+    def ragged():
+        x = 1
+# a body comment left of the def breaks the dedent
+        return x
+    assert _def_block_source(ragged.__code__) is None
+    assert _def_block_source((lambda: 0).__code__) is None
+
+
+def test_dynamic_subscript_of_int_table_keeps_distinct_values_only():
+    """A dynamic index into plain ints resolves to the distinct values, so
+    queued stimulus does not make analysis slower; other containers keep
+    every element."""
+    from repro.rtl.compile.analyze import _distinct
+
+    table = [3, 1, 3, 3, 1, 7] * 1000
+    assert _distinct(table) == [3, 1, 7]
+    mixed = [1, True, 1]
+    assert _distinct(mixed) == mixed
+    sigs = _Plumbing().signals
+    assert _distinct(sigs) == sigs

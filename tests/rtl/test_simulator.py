@@ -135,67 +135,6 @@ def test_pulse_drives_then_clears():
     assert counter.value.value == 2
 
 
-class DeclaredAdder(Component):
-    """Combinational process with an explicit (declared) sensitivity list."""
-
-    def __init__(self):
-        super().__init__("declared")
-        self.a = self.signal(8)
-        self.b = self.signal(8)
-        self.total = self.signal(9)
-        self.evaluations = 0
-
-        @self.comb(sensitivity=[self.a, self.b])
-        def add():
-            self.evaluations += 1
-            self.total.next = self.a.value + self.b.value
-
-
-def test_declared_sensitivity_wakes_on_inputs():
-    adder = DeclaredAdder()
-    sim = Simulator(adder)
-    adder.a.force(3)
-    adder.b.force(4)
-    sim.settle()
-    assert adder.total.value == 7
-    adder.b.force(10)
-    sim.settle()
-    assert adder.total.value == 13
-
-
-def test_declared_sensitivity_skips_quiescent_cycles():
-    adder = DeclaredAdder()
-    sim = Simulator(adder)  # event strategy by default
-    after_init = adder.evaluations
-    sim.step(10)  # nothing changes: the process must not be re-evaluated
-    assert adder.evaluations == after_init
-
-
-def test_both_comb_decorator_forms_register():
-    class Both(Component):
-        def __init__(self):
-            super().__init__("both")
-            self.x = self.signal(4)
-            self.y = self.signal(4)
-            self.z = self.signal(4)
-
-            @self.comb
-            def traced():
-                self.y.next = self.x.value + 1
-
-            @self.comb(sensitivity=[self.x])
-            def declared():
-                self.z.next = self.x.value + 2
-
-    both = Both()
-    assert len(both.comb_procs) == 2
-    sim = Simulator(both)
-    both.x.force(5)
-    sim.settle()
-    assert both.y.value == 6
-    assert both.z.value == 7
-
-
 def test_remove_watcher_stops_callbacks_and_reset_hooks():
     counter = Counter()
     sim = Simulator(counter)

@@ -1,7 +1,7 @@
 """Differential tests: every settle strategy must agree exactly.
 
-The event-driven scheduler and the compiled backend are optimisations, not
-semantics changes: on every design in ``repro.designs`` all strategies must
+The compiled scalar and batched backends are optimisations, not semantics
+changes: on every design in ``repro.designs`` all strategies must
 produce identical pixel streams, identical cycle counts and identical
 per-cycle signal traces.  The fixpoint engine is the oracle because it
 evaluates everything — it cannot miss a dependency.
@@ -22,7 +22,6 @@ from repro.designs import (
 )
 from repro.rtl import (
     COMPILED,
-    EVENT,
     FIXPOINT,
     Component,
     Recorder,
@@ -32,7 +31,7 @@ from repro.rtl import (
 from repro.video import flatten, golden_blur3x3, random_frame
 
 #: The optimised strategies, each checked against the fixpoint oracle.
-OPTIMISED = (EVENT, COMPILED)
+OPTIMISED = (COMPILED,)
 
 FRAME = random_frame(10, 6, seed=77)
 PIXELS = flatten(FRAME)
@@ -111,19 +110,37 @@ def test_strategies_agree_under_backpressure(stalls):
     """Source/sink stalling exercises the idle paths the scheduler skips."""
     source_stall, sink_stall = stalls
     results = []
-    for strategy in (EVENT, COMPILED, FIXPOINT):
+    for strategy in (COMPILED, FIXPOINT):
         system = VideoSystem(build_saa2vga_pattern("fifo", capacity=8),
                              frames=[FRAME], source_stall=source_stall,
                              sink_stall=sink_stall)
         sim = system.simulate(len(PIXELS), max_cycles=50_000, strategy=strategy)
         results.append((system.received_pixels(), sim.cycles))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
     assert results[0][0] == PIXELS
 
 
 def test_unknown_strategy_rejected():
     with pytest.raises(SimulationError):
         Simulator(Component("empty"), strategy="levelized")
+
+
+def test_retired_event_strategy_rejected_naming_compiled(capsys):
+    """The deleted ``"event"`` engine is rejected, not aliased, and every
+    entry point's message names ``"compiled"`` as the engine to use."""
+    from repro.explore import resolve_strategy
+    from repro.verify.__main__ import main as verify_main
+
+    assert Simulator(Component("empty")).strategy == COMPILED
+    with pytest.raises(SimulationError, match="'compiled'"):
+        Simulator(Component("empty"), strategy="event")
+    with pytest.raises(ValueError, match="'compiled'"):
+        resolve_strategy("event")
+    with pytest.raises(SystemExit) as excinfo:
+        verify_main(["queue/fifo", "--strategy", "event"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'event'" in err and "'compiled'" in err
 
 
 class _Toggler(Component):
@@ -143,7 +160,7 @@ class _Toggler(Component):
             self.count.next = self.count.value + 1
 
 
-@pytest.mark.parametrize("strategy", [EVENT, FIXPOINT, COMPILED])
+@pytest.mark.parametrize("strategy", [FIXPOINT, COMPILED])
 def test_reset_clears_recorder_and_resettles(strategy):
     """Regression: reset() must clear watcher state and re-run the initial
     settle under the selected strategy, so post-reset traces start clean."""
@@ -182,7 +199,7 @@ def test_reset_then_rerun_reproduces_first_run(label, strategy):
     assert (system.received_pixels(), sim.cycles) == first
 
 
-@pytest.mark.parametrize("strategy", [EVENT, FIXPOINT, COMPILED])
+@pytest.mark.parametrize("strategy", [FIXPOINT, COMPILED])
 def test_preconstruction_next_pokes_commit_identically(strategy):
     """A legal two-phase poke made before the simulator exists must be
     committed by the initial settle under either strategy."""
@@ -231,7 +248,7 @@ def test_wrapped_watcher_reset_via_explicit_hook():
     import functools
 
     top = _Toggler()
-    sim = Simulator(top, strategy=EVENT)
+    sim = Simulator(top, strategy=COMPILED)
     rows = []
     sample = functools.partial(lambda store, cycle: store.append(cycle), rows)
     sim.add_watcher(sample, on_reset=rows.clear)
@@ -245,9 +262,11 @@ def test_wrapped_watcher_reset_via_explicit_hook():
 
 @pytest.mark.parametrize("strategy", OPTIMISED)
 def test_mid_simulation_frame_queueing_wakes_source(strategy):
-    """Queueing pixels after the source went idle must wake it again (the
-    optimised schedulers see the growth through the source's sensitivity
-    anchor)."""
+    """Queueing pixels after the source went idle must wake it again.  The
+    compiled engine skips the leading settle of a quiescent network; the
+    source forces its ``_queued`` anchor when the queue grows, which marks
+    the engine dirty so ``drive`` offers the new pixel before ``advance``
+    accepts it."""
     system = VideoSystem(build_saa2vga_pattern("fifo", capacity=8),
                          frames=[FRAME])
     sim = Simulator(system, strategy=strategy)
@@ -261,7 +280,7 @@ def test_mid_simulation_frame_queueing_wakes_source(strategy):
     assert system.received_pixels() == PIXELS + flatten(second)
 
 
-@pytest.mark.parametrize("strategy", [EVENT, FIXPOINT, COMPILED])
+@pytest.mark.parametrize("strategy", [FIXPOINT, COMPILED])
 def test_rgb_over_8bit_bus_roundtrips_bit_exact(strategy):
     """Acceptance: full 24-bit RGB values over the 8-bit shared bus come
     back bit-exact under every settle strategy, with the width converters
@@ -339,7 +358,6 @@ def test_verification_sessions_identical_across_strategies(target):
             result.transactions,
             [str(v) for v in result.violations],
         )
-    assert outcomes[EVENT] == outcomes[FIXPOINT]
     assert outcomes[COMPILED] == outcomes[FIXPOINT]
 
 
@@ -374,7 +392,7 @@ def _scalar_lane_reference(factory, frame, golden, strategy):
 def test_batched_lanes_identical_to_all_scalar_strategies(label):
     """Every lane of a batched lockstep run must be bit-identical — full
     per-cycle signal traces and memory snapshots included — to a scalar
-    event/fixpoint/compiled simulation of the same point."""
+    fixpoint/compiled simulation of the same point."""
     factory, _ = DESIGNS[label]
     frames = [random_frame(10, 6, seed=seed) for seed in BATCH_SEEDS]
     goldens = [_golden_for(label, frame) for frame in frames]
@@ -382,9 +400,9 @@ def test_batched_lanes_identical_to_all_scalar_strategies(label):
     references = {
         strategy: [_scalar_lane_reference(factory, frame, golden, strategy)
                    for frame, golden in zip(frames, goldens)]
-        for strategy in (FIXPOINT, EVENT, COMPILED)
+        for strategy in (FIXPOINT, COMPILED)
     }
-    assert references[EVENT] == references[FIXPOINT] == references[COMPILED]
+    assert references[FIXPOINT] == references[COMPILED]
 
     systems = [VideoSystem(factory(), frames=[frame]) for frame in frames]
     batch = BatchedSimulator(systems)

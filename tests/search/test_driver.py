@@ -49,6 +49,14 @@ def test_config_rejects_bad_inputs():
         SearchConfig(targets=("queue/fifo",), budget=0)
     with pytest.raises(ValueError):
         SearchConfig(targets=("queue/fifo",), batch=0)
+    for strategy in ("bogus", "event"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            SearchConfig(targets=("queue/fifo",), strategy=strategy)
+
+
+def test_config_stores_the_auto_alias_resolved():
+    config = SearchConfig(targets=("queue/fifo",), strategy="auto")
+    assert config.strategy == "compiled"
 
 
 def test_config_to_dict_resolves_per_target_cycles():

@@ -87,6 +87,15 @@ def test_bad_search_bodies_get_http_400(server):
         assert exc.value.status == 400, body
 
 
+def test_search_with_retired_event_strategy_gets_http_400(server):
+    with pytest.raises(ServiceError) as exc:
+        SweepClient(server.url).submit_search(
+            {"targets": ["queue/fifo"], "strategy": "event"})
+    assert exc.value.status == 400
+    assert "'compiled'" in str(exc.value)
+    assert SweepClient(server.url).searches() == []
+
+
 def test_failed_search_is_a_failed_job_not_an_http_error():
     manager = JobManager(workers=1)
     try:

@@ -5,7 +5,9 @@ to it over actual sockets via :class:`SweepClient` — the same path
 ``python -m repro.explore --server`` uses.
 """
 
+import http.client
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -154,12 +156,54 @@ def test_api_errors_are_json_with_useful_status_codes(server):
     assert excinfo.value.status == 400
 
     with pytest.raises(ServiceError) as excinfo:
+        client.submit({"spec": SPEC, "config": {"strategy": "event"}})
+    assert excinfo.value.status == 400
+    assert "'compiled'" in str(excinfo.value)
+
+    with pytest.raises(ServiceError) as excinfo:
         client.result("ff" + "0" * 62)  # valid key shape, nothing stored
     assert excinfo.value.status == 404
 
     with pytest.raises(ServiceError) as excinfo:
         client.result("nothex!")
     assert excinfo.value.status == 400
+
+    # A malformed or negative Content-Length is a client error, answered
+    # at once (a negative length used to block the handler on the socket).
+    for length in ("abc", "-5"):
+        status, payload = _post_with_content_length(server, length)
+        assert status == 400, length
+        assert "Content-Length" in payload["error"]
+
+
+def _post_with_content_length(server, length):
+    """POST ``/sweeps`` with a raw ``Content-Length`` header value."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/sweeps")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(b"{}")
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def test_query_values_are_url_decoded_and_validated(server):
+    client, job_id, status = submit_and_wait(server, {"spec": SPEC})
+    assert status["state"] == "done"
+    names = [e["event"] for e in client.events(job_id)]
+    # ``%32`` is a percent-encoded "2".
+    url = f"{server.url}/sweeps/{job_id}/events?since=%32&follow=%30"
+    with urllib.request.urlopen(url, timeout=10) as response:
+        lines = response.read().decode().splitlines()
+    assert [json.loads(line)["event"] for line in lines] == names[2:]
+
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(
+            f"{server.url}/sweeps/{job_id}/events?since=two", timeout=10)
+    assert excinfo.value.code == 400
 
 
 def test_empty_submission_is_a_400(server):
