@@ -63,6 +63,11 @@ FAILED = "failed"
 
 _TERMINAL = (DONE, FAILED)
 
+#: ``POST /search`` body keys passed to :class:`repro.search.SearchConfig`
+#: when present, with the conversion each value gets.
+_SEARCH_KNOBS = {"budget": int, "seed": int, "strategy": str, "batch": int,
+                 "epsilon": float, "min_coverage": float}
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -711,8 +716,7 @@ class JobManager:
         """
         from ..search.driver import SearchConfig
 
-        known = {"targets", "budget", "cycles", "seed", "strategy",
-                 "batch", "epsilon", "min_coverage", "frontier"}
+        known = {"targets", "cycles", "frontier", *_SEARCH_KNOBS}
         unknown = set(body) - known
         if unknown:
             raise ValueError(f"unknown search keys: {sorted(unknown)}")
@@ -734,16 +738,15 @@ class JobManager:
                              "'frontier'")
         config = None
         if targets:
+            # Absent knobs keep SearchConfig's own defaults.
+            knobs = {name: convert(body[name])
+                     for name, convert in _SEARCH_KNOBS.items()
+                     if name in body}
             config = SearchConfig(
                 targets=tuple(str(t) for t in targets),
-                budget=int(body.get("budget", 32)),
                 cycles=(None if body.get("cycles") is None
                         else int(body["cycles"])),
-                seed=int(body.get("seed", 0)),
-                strategy=str(body.get("strategy", "compiled-batched")),
-                batch=int(body.get("batch", 1)),
-                epsilon=float(body.get("epsilon", 0.1)),
-                min_coverage=float(body.get("min_coverage", 100.0)))
+                **knobs)
         with self._lock:
             if self._closed:
                 raise RuntimeError("JobManager is closed")

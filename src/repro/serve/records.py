@@ -33,6 +33,7 @@ from typing import Dict, Optional
 from ..explore.grid import DesignPoint
 from ..explore.runner import ExplorationResult
 from ..flow.sweep import PipelinePoint
+from ..rtl import COMPILED, COMPILED_BATCHED
 from .store import SCHEMA_VERSION
 
 
@@ -120,14 +121,19 @@ def verify_key(target: str, seed: int, cycles: int, strategy: str) -> str:
 
     ``cycles`` must be the *resolved* budget (the CLI's ``--cycles`` or the
     target's registered default), never ``None`` — two spellings of the
-    same session must land on one key.
+    same session must land on one key.  For the same reason
+    ``"compiled-batched"`` folds to ``"compiled"``, as in
+    :func:`exploration_key`: a lockstep lane and a scalar session produce
+    the identical result, so the verify CLI, search and ``POST /search``
+    share one record whichever engine wrote it.
     """
     payload = {
         "kind": "verify",
         "target": str(target),
         "seed": int(seed),
         "cycles": int(cycles),
-        "strategy": str(strategy),
+        "strategy": COMPILED if strategy == COMPILED_BATCHED
+        else str(strategy),
     }
     return _digest(payload)
 

@@ -48,6 +48,10 @@ GET      ``/metrics``                Prometheus text exposition of the
                                      gauges and histograms.
 =======  ==========================  ===========================================
 
+Malformed requests get a JSON ``{"error": ...}`` with a 4xx status; a
+``POST`` body larger than :data:`MAX_BODY_BYTES` is refused with 413
+before any of it is read.
+
 Construct a :class:`SweepServer` programmatically (tests do) or run
 ``python -m repro.serve --store DIR``.
 """
@@ -65,6 +69,11 @@ from ..obs.metrics import REGISTRY, render_prometheus
 from .jobs import JobManager, SweepConfig
 from .records import point_from_dict
 from .store import ResultStore, StoreError
+
+#: Largest request body the server reads.  Sweep specs and search
+#: requests are a few kilobytes; even a ``points`` list of thousands of
+#: records stays far below this.
+MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 class ApiError(Exception):
@@ -127,6 +136,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -141,6 +152,11 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             raise ApiError(400, f"bad Content-Length header {header!r}")
+        if length > MAX_BODY_BYTES:
+            # Refused unread, so the connection cannot be reused.
+            self.close_connection = True
+            raise ApiError(413, f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ApiError(400, "empty request body")
@@ -228,7 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ApiError(400, "request body must be a JSON object")
             try:
                 job = self.server.owner.manager.submit_search(body)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ApiError(400, f"bad search request: {exc}") from None
             self._send_json(job.progress(), status=202)
         else:

@@ -15,7 +15,7 @@ import sys
 from ..obs import profile as _obs_profile
 from .coverage import CoverageDB
 from .rng import SEED_ENV, default_seed
-from .session import TARGETS, verify, verify_matrix
+from .session import TARGETS, verify_matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constrained-random verification of the pattern library.",
         epilog="With --store DIR, clean sessions persist in the same "
                "content-addressed result store the exploration service uses "
-               "(keyed by target x seed x cycles x strategy); a re-run of "
+               "(keyed by target x seed x cycles x strategy, with "
+               "compiled-batched sharing compiled's records); a re-run of "
                "an already-clean matrix replays summaries and coverage from "
                "the store without simulating.  Failing sessions are never "
                "cached — they always re-run and print their reproduction "
@@ -104,15 +105,8 @@ def _run(args) -> int:
                 if record_matches(record, "verify"):
                     cached[seed] = record
         fresh_seeds = [seed for seed in args.seeds if seed not in cached]
-        # compiled-batched runs the whole seed matrix for a target as ONE
-        # lockstep simulation loop (one lane per seed); scalar strategies
-        # run one session per (target, seed) pair.
-        if args.strategy == "compiled-batched":
-            results = verify_matrix(name, fresh_seeds, cycles=args.cycles)
-        else:
-            results = [verify(name, seed=seed, cycles=args.cycles,
-                              strategy=args.strategy)
-                       for seed in fresh_seeds]
+        results = verify_matrix(name, fresh_seeds, cycles=args.cycles,
+                                strategy=args.strategy)
         by_seed = {result.seed: result for result in results}
         for seed in args.seeds:
             if seed in cached:

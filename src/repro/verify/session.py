@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..obs import tracing as _obs_tracing
 from ..rtl import (
     COMPILED,
     COMPILED_BATCHED,
@@ -679,45 +680,61 @@ def verify(target: Union[str, Component], seed: int = 0,
         collecting all of them.
     """
     if strategy == COMPILED_BATCHED:
-        return verify_matrix(target, [seed], cycles=cycles, strict=strict)[0]
+        return _run_lockstep(target, [seed], cycles, strict)[0]
     pool = RngPool(seed)
     bench, name, budget = _resolve_bench(target, pool, cycles)
     return _run_bench(bench, name, pool.seed, budget, strategy, strict)
 
 
 def verify_matrix(target: Union[str, Component], seeds: Sequence[int],
-                  cycles: Optional[int] = None,
-                  strategy: str = COMPILED_BATCHED,
+                  cycles: Optional[int] = None, strategy: str = COMPILED,
                   strict: bool = False) -> List[VerifyResult]:
-    """Run a whole seed matrix over one target as a single batched session.
+    """Run a seed matrix over one target: one result per seed, in order.
 
-    One bench is built per seed — each with its own independent
-    :class:`RngPool`, so lane ``i`` receives exactly the stimulus a scalar
-    ``verify(target, seed=seeds[i])`` session would — and every lane's DUT
-    advances through one :class:`~repro.rtl.BatchedSimulator` lockstep loop.
-    Drivers poke and monitors observe through per-lane mirrored signal
-    state, so the per-seed results (violations, coverage, transactions) are
-    identical to the scalar sessions'.
+    Under the default ``compiled`` strategy (and under ``fixpoint``) each
+    seed runs as its own scalar :func:`verify` session.  Seed matrices are
+    a few lanes of a per-cycle Python harness, where scalar ``compiled``
+    is faster than the lockstep engine, so it is the default for every
+    harness-driven matrix (search included).
 
-    A scalar ``strategy`` is accepted as an escape hatch and simply runs
-    the seeds sequentially through :func:`verify`.
+    ``strategy="compiled-batched"`` instead runs the whole matrix as one
+    :class:`~repro.rtl.BatchedSimulator` lockstep session, one lane per
+    seed; the per-seed results (violations, coverage, transactions) are
+    identical to the scalar sessions'.  It stays reachable on request
+    because the mutation and strategy-equivalence suites prove the batched
+    emitter through it.
 
-    For a component target, each lane needs its own DUT instance:
-    component targets are re-built per lane via a fresh
-    ``type(target)``-independent path only when ``target`` is a registered
-    name; passing a live component with more than one seed is rejected
-    (two lanes cannot share one hierarchy).
+    Every seed needs its own DUT, so a live component (rather than a
+    registered target name) is rejected with more than one seed.
+
+    While tracing is on, the matrix is one ``verify.matrix`` span carrying
+    the target, lane count and strategy.
     """
     seeds = list(seeds)
     if not seeds:
         return []
-    if strategy != COMPILED_BATCHED:
-        return [verify(target, seed=seed, cycles=cycles, strategy=strategy,
-                       strict=strict) for seed in seeds]
     if not isinstance(target, str) and len(seeds) > 1:
         raise VerificationError(
-            "batched seed matrices over a live component need one DUT per "
-            "lane; pass a registered target name instead")
+            "seed matrices over a live component need one DUT per seed; "
+            "pass a registered target name instead")
+    name = target if isinstance(target, str) else f"component/{target.name}"
+    with _obs_tracing.span("verify.matrix", target=name, lanes=len(seeds),
+                           strategy=strategy):
+        if strategy == COMPILED_BATCHED:
+            return _run_lockstep(target, seeds, cycles, strict)
+        return [verify(target, seed=seed, cycles=cycles, strategy=strategy,
+                       strict=strict) for seed in seeds]
+
+
+def _run_lockstep(target: Union[str, Component], seeds: List[int],
+                  cycles: Optional[int], strict: bool) -> List[VerifyResult]:
+    """One :class:`~repro.rtl.BatchedSimulator` session, one lane per seed.
+
+    One bench is built per seed, each with its own :class:`RngPool`, so
+    lane ``i`` receives exactly the stimulus a scalar session with
+    ``seeds[i]`` would.  Drivers poke and monitors observe through
+    per-lane mirrored signal state.
+    """
     pools = [RngPool(seed) for seed in seeds]
     benches: List[_Bench] = []
     name = ""
@@ -771,7 +788,7 @@ def verify_matrix(target: Union[str, Component], seeds: Sequence[int],
 
 def verify_gains(target: Union[str, Component], seeds: Sequence[int],
                  db: CoverageDB, cycles: Optional[int] = None,
-                 strategy: str = COMPILED_BATCHED,
+                 strategy: str = COMPILED,
                  strict: bool = False) -> tuple:
     """Run a seed matrix and fold its coverage into ``db``, seed by seed.
 
@@ -780,9 +797,10 @@ def verify_gains(target: Union[str, Component], seeds: Sequence[int],
     (:meth:`CoverageDB.add_delta`).  Merge order is seed order, so when two
     seeds both hit a previously-open goal the earlier one takes the credit
     — exactly the marginal-closure reward the coverage-directed search
-    driver (:mod:`repro.search`) optimises.  Under the default
-    ``compiled-batched`` strategy the whole matrix still runs as one
-    lockstep session.
+    driver (:mod:`repro.search`) optimises.  The matrix runs through
+    :func:`verify_matrix`: scalar ``compiled`` sessions by default, one
+    lockstep session under ``compiled-batched``; the gains are the same
+    either way.
     """
     results = verify_matrix(target, seeds, cycles=cycles, strategy=strategy,
                             strict=strict)

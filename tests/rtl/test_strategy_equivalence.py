@@ -22,6 +22,7 @@ from repro.designs import (
 )
 from repro.rtl import (
     COMPILED,
+    COMPILED_BATCHED,
     FIXPOINT,
     Component,
     Recorder,
@@ -442,5 +443,6 @@ def test_batched_verification_matrix_identical_to_scalar_sessions(target):
                               strategy=FIXPOINT))
               for seed in seeds]
     batched = [snapshot(result)
-               for result in verify_matrix(target, seeds, cycles=700)]
+               for result in verify_matrix(target, seeds, cycles=700,
+                                           strategy=COMPILED_BATCHED)]
     assert batched == scalar

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.explore.grid import DesignPoint
+from repro.rtl import COMPILED, COMPILED_BATCHED, instrument
 from repro.search.driver import (
     CoverageSearch,
     ParetoFrontier,
@@ -63,6 +64,34 @@ def test_config_to_dict_resolves_per_target_cycles():
     config = SearchConfig(targets=("queue/fifo",), cycles=None)
     data = config.to_dict()
     assert data["cycles"]["queue/fifo"] > 0
+
+
+# -- engine ----------------------------------------------------------------
+
+def test_default_search_runs_scalar_compiled_sessions():
+    config = SearchConfig(targets=("queue/fifo",), budget=4,
+                          cycles=ACCEPTANCE_CYCLES, batch=2)
+    assert config.strategy == COMPILED
+    before = instrument.snapshot()
+    report = CoverageSearch(config).run()
+    diff = instrument.delta(before)
+    assert diff.get(instrument.BATCHED_CONSTRUCTIONS, 0) == 0
+    assert diff.get(instrument.SIMULATOR_CONSTRUCTIONS, 0) == \
+        report.simulated > 0
+
+
+def test_search_report_does_not_depend_on_the_engine():
+    """Same trajectory, rewards and coverage whether each round's fresh
+    seeds run as scalar sessions or as lanes of one lockstep session."""
+    reports = {}
+    for strategy in (COMPILED, COMPILED_BATCHED):
+        config = SearchConfig(targets=("queue/fifo",), budget=6,
+                              cycles=ACCEPTANCE_CYCLES, batch=2,
+                              strategy=strategy)
+        reports[strategy] = CoverageSearch(config).run().to_dict()
+        assert reports[strategy]["config"].pop("strategy") == strategy
+    assert reports[COMPILED] == reports[COMPILED_BATCHED]
+    assert reports[COMPILED]["closed"]
 
 
 # -- closure and budget ----------------------------------------------------

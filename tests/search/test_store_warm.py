@@ -62,11 +62,35 @@ def test_repeat_proposals_within_one_search_hit_the_memo():
 def test_evaluator_keys_match_the_verify_cli_identity(store):
     evaluator = SessionEvaluator(cycles=120, store=store)
     evaluator.evaluate("queue/fifo", [0])
-    key = verify_key("queue/fifo", 0,
-                     resolved_cycles("queue/fifo", 120), "compiled-batched")
+    cycles = resolved_cycles("queue/fifo", 120)
+    key = verify_key("queue/fifo", 0, cycles, "compiled")
+    # Lockstep lanes are an execution detail: both engines share a key.
+    assert verify_key("queue/fifo", 0, cycles, "compiled-batched") == key
+    assert verify_key("queue/fifo", 0, cycles, "fixpoint") != key
     assert evaluator.key("queue/fifo", 0) == key
+    assert SessionEvaluator(cycles=120, strategy="compiled-batched").key(
+        "queue/fifo", 0) == key
     record = store.get(key)
     assert record is not None and record["result"]["ok"]
+
+
+def test_batched_written_records_warm_a_default_evaluator(store):
+    from repro.verify.__main__ import main as verify_main
+
+    assert verify_main(["queue/fifo", "--seeds", "0", "1", "--cycles", "120",
+                        "--strategy", "compiled-batched",
+                        "--store", str(store.root)]) == 0
+    batched = SessionEvaluator(cycles=120, strategy="compiled-batched")
+    expected = batched.evaluate("queue/fifo", [0, 1])
+
+    before = instrument.snapshot()
+    evaluator = SessionEvaluator(cycles=120, store=store)
+    evaluated = evaluator.evaluate("queue/fifo", [0, 1])
+    assert instrument.simulations_since(before) == 0
+    assert evaluator.simulated == 0 and evaluator.store_hits == 2
+    assert [source for _, _, source in evaluated] == ["store", "store"]
+    assert [record["result"] for _, record, _ in evaluated] == \
+        [record["result"] for _, record, _ in expected]
 
 
 def test_failing_sessions_are_never_persisted(tmp_path):

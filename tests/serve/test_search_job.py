@@ -41,6 +41,25 @@ def test_post_search_runs_to_done_and_serves_the_report(server):
     assert payload["frontier"] is None
 
 
+def test_default_post_search_runs_scalar_compiled_sessions(server):
+    """With no ``strategy`` in the body the job takes SearchConfig's
+    default engine: scalar sessions, no lockstep simulator at all."""
+    from repro.rtl import instrument
+    from repro.search.driver import SearchConfig
+
+    client = SweepClient(server.url)
+    before = instrument.snapshot()
+    submitted = client.submit_search(BODY)
+    assert client.wait(submitted["id"], timeout=120)["state"] == "done"
+    diff = instrument.delta(before)
+    report = client.results(submitted["id"])["report"]
+    assert report["config"]["strategy"] == SearchConfig.strategy
+    assert SearchConfig.strategy == "compiled"
+    assert diff.get(instrument.BATCHED_CONSTRUCTIONS, 0) == 0
+    assert diff.get(instrument.SIMULATOR_CONSTRUCTIONS, 0) == \
+        report["simulated"] > 0
+
+
 def test_event_stream_carries_search_rounds(server):
     client = SweepClient(server.url)
     submitted = client.submit_search(BODY)
@@ -80,6 +99,8 @@ def test_bad_search_bodies_get_http_400(server):
     client = SweepClient(server.url)
     for body in ({}, {"targets": "queue/fifo"},
                  {"targets": ["queue/fifo"], "bogus": 1},
+                 {"targets": ["queue/fifo"], "budget": None},
+                 {"targets": ["queue/fifo"], "epsilon": "lots"},
                  {"targets": ["no/such/target"]},
                  {"frontier": {"unknown_axis": []}}):
         with pytest.raises(ServiceError) as exc:

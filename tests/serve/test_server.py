@@ -190,6 +190,49 @@ def _post_with_content_length(server, length):
         conn.close()
 
 
+@pytest.mark.parametrize("path", ["/sweeps", "/search"])
+def test_oversized_bodies_get_413_before_being_read(server, path):
+    """A body over the cap is refused from its Content-Length alone: the
+    client has sent only a first chunk when the 413 arrives."""
+    from repro.serve.server import MAX_BODY_BYTES
+
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        conn.endheaders(b'{"spec": "' + b"x" * 4096)
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 413
+        assert response.getheader("Connection") == "close"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+    finally:
+        conn.close()
+    # Nothing was submitted, and the server keeps serving.
+    client = SweepClient(server.url)
+    assert client.sweeps() == [] and client.searches() == []
+    assert client.health()["ok"]
+
+
+def test_a_body_at_the_cap_is_read(server):
+    from repro.serve.server import MAX_BODY_BYTES
+
+    body = json.dumps({"spec": SPEC, "points": []}).encode()
+    body += b" " * (MAX_BODY_BYTES - len(body))
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("POST", "/sweeps", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        job = json.loads(response.read())
+        assert response.status == 202
+    finally:
+        conn.close()
+    assert SweepClient(server.url).wait(job["id"], timeout=60)["state"] \
+        == "done"
+
+
 def test_query_values_are_url_decoded_and_validated(server):
     client, job_id, status = submit_and_wait(server, {"spec": SPEC})
     assert status["state"] == "done"

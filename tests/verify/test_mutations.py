@@ -11,6 +11,7 @@ import functools
 
 import pytest
 
+from repro.rtl import COMPILED, COMPILED_BATCHED
 from repro.verify import mutate, verify
 from repro.verify.session import verify_matrix
 
@@ -29,7 +30,8 @@ MUTATION_TARGETS = {
 #: primitive: they only manifest inside a multi-lane lockstep session
 #: (identical lanes would mask cross-lane leakage, and the stale-commit
 #: fault freezes exactly the last lane), so their smoke test drives a
-#: multi-seed matrix instead of a scalar session.
+#: multi-seed lockstep matrix — explicitly ``compiled-batched``, since a
+#: default matrix runs scalar sessions and never emits batched code.
 BATCHED_MUTATIONS = {name for name in MUTATION_TARGETS
                      if name.startswith("batched.")}
 BATCHED_SMOKE_SEEDS = [0, 1, 2, 3]
@@ -45,11 +47,12 @@ def test_monitors_catch_seeded_protocol_bug(name):
     if name in BATCHED_MUTATIONS:
         with mutate.inject(name):
             mutated = verify_matrix(target, BATCHED_SMOKE_SEEDS,
-                                    cycles=cycles)
+                                    cycles=cycles, strategy=COMPILED_BATCHED)
         assert any(not result.ok for result in mutated), \
             f"mutation {name} went undetected on a " \
             f"{len(BATCHED_SMOKE_SEEDS)}-lane {target} matrix"
-        clean = verify_matrix(target, BATCHED_SMOKE_SEEDS, cycles=cycles)
+        clean = verify_matrix(target, BATCHED_SMOKE_SEEDS, cycles=cycles,
+                              strategy=COMPILED_BATCHED)
         assert all(result.ok for result in clean), \
             [str(v) for result in clean for v in result.violations[:5]]
         return
@@ -70,7 +73,7 @@ def test_stale_lane_commit_freezes_exactly_the_last_lane():
     blast radius and proving detection is not an artefact of lane 0."""
     with mutate.inject("batched.stale_lane_commit"):
         results = verify_matrix("queue/fifo", BATCHED_SMOKE_SEEDS,
-                                cycles=800)
+                                cycles=800, strategy=COMPILED_BATCHED)
     assert [result.ok for result in results] == [True, True, True, False]
 
 
@@ -123,18 +126,21 @@ def test_search_proposed_seeds_catch_every_seeded_fault(name):
     matrix), those proposed seeds must still catch every seeded fault,
     and trip exactly the pinned monitor rules."""
     target, cycles = MUTATION_TARGETS[name]
-    count = len(BATCHED_SMOKE_SEEDS) if name in BATCHED_MUTATIONS else 1
+    batched = name in BATCHED_MUTATIONS
+    count = len(BATCHED_SMOKE_SEEDS) if batched else 1
+    strategy = COMPILED_BATCHED if batched else COMPILED
     seeds = list(search_proposed_seeds(target, cycles, count))
     assert len(seeds) == count
     with mutate.inject(name):
-        results = verify_matrix(target, seeds, cycles=cycles)
+        results = verify_matrix(target, seeds, cycles=cycles,
+                                strategy=strategy)
     assert any(not result.ok for result in results), \
         f"mutation {name} escaped search-proposed seeds {seeds}"
     rules = {violation.rule for result in results
              for violation in result.violations}
     assert rules == SEARCH_BLAST_RADIUS[name]
     # And the same sessions are clean once the switch drops.
-    clean = verify_matrix(target, seeds, cycles=cycles)
+    clean = verify_matrix(target, seeds, cycles=cycles, strategy=strategy)
     assert all(result.ok for result in clean)
 
 
