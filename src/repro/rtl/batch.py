@@ -312,8 +312,12 @@ class BatchedSimulator:
         n = self.n_lanes
         self._V = _np.zeros((n_sigs, n), dtype=_np.int64)
         self._VN = _np.zeros((n_sigs, n), dtype=_np.int64)
-        self._MM = [_np.zeros((mem.depth, n), dtype=_np.int64)
-                    for mem in program.memories]
+        # Each memory matrix has one spare row past the end: the kernel's
+        # masked dynamic-index stores send masked-off lanes there.  Every
+        # other reader sees only the ``depth`` real rows.
+        self._MM_KERNEL = [_np.zeros((mem.depth + 1, n), dtype=_np.int64)
+                           for mem in program.memories]
+        self._MM = [rows[:-1] for rows in self._MM_KERNEL]
         self._PA = [_np.zeros(n, dtype=_np.int64)
                     for _ in program.attr_slots]
         self._PL: List[list] = [[None] for _ in program.gather_lists]
@@ -331,9 +335,8 @@ class BatchedSimulator:
     def _gather_all(self) -> None:
         """(Re)load every lane's object state into the batch arrays."""
         for lane, program in enumerate(self._programs):
-            for i, sig in enumerate(program.signals):
-                self._V[i, lane] = sig._value
-                self._VN[i, lane] = sig._next
+            self._V[:, lane] = [sig._value for sig in program.signals]
+            self._VN[:, lane] = [sig._next for sig in program.signals]
             for k, mem in enumerate(program.memories):
                 self._MM[k][:, lane] = mem._data
             for j, (owner, attr) in enumerate(program.attr_slots):
@@ -353,23 +356,28 @@ class BatchedSimulator:
         self._PL[j][0] = matrix
 
     def _build_namespace(self) -> None:
+        n_lanes = self.n_lanes
         namespace: Dict[str, Any] = {
             "_NP": _np,
-            "_LIDX": _np.arange(self.n_lanes),
-            "_NLANES": self.n_lanes,
+            "_LIDX": _np.arange(n_lanes),
+            "_NLANES": n_lanes,
             "_VR": self._V,
             "_NR": self._VN,
             "_V": self._V,
             "_VN": self._VN,
-            "_MM": self._MM,
+            "_MM": self._MM_KERNEL,
             "_PA": self._PA,
             "_PL": self._PL,
             "_PLEN": self._PLEN,
             "_LS": self._LS,
             "_LC": self._LC,
             "_LQ": self._LQ,
+            # One constant row per ``_k...`` default of the kernel.
+            "_KC": lambda value: _np.full(n_lanes, value, dtype=_np.int64),
         }
-        exec(compile(self.program.source, "<repro-batched>", "exec"),
+        from .compile.emit import compile_source
+
+        exec(compile_source(self.program.source, "<repro-batched>"),
              namespace)
         self._settle_fn = namespace["settle"]
         self._cycle_fn = namespace["cycle"]
@@ -671,22 +679,27 @@ class BatchedSimulator:
                       max_cycles: Optional[int] = None) -> List[int]:
         budget = self.max_cycles if max_cycles is None else max_cycles
         start = self._cycles
-        done: List[Optional[int]] = [None] * self.n_lanes
+        done: List[int] = [0] * self.n_lanes
+        pending = list(zip(range(self.n_lanes), conditions))
         cycle_fn = self._cycle_fn
         while True:
-            for lane, condition in enumerate(conditions):
-                if done[lane] is None and condition():
-                    done[lane] = self._cycles - start
-            if all(d is not None for d in done):
+            waiting = []
+            for entry in pending:
+                if entry[1]():
+                    done[entry[0]] = self._cycles - start
+                else:
+                    waiting.append(entry)
+            pending = waiting
+            if not pending:
                 break
             if self._cycles - start >= budget:
-                missing = [i for i, d in enumerate(done) if d is None]
+                missing = [lane for lane, _condition in pending]
                 raise SimulationError(
                     f"lanes {missing} did not reach their conditions "
                     f"within {budget} cycles")
             cycle_fn(self)
         self.sync_out()
-        return [d for d in done if d is not None]
+        return done
 
     def lane_attr(self, lane: int, owner: Any, attr: str) -> int:
         """Read a promoted Python attribute for one lane without a sync."""

@@ -28,15 +28,17 @@ paper's wrapper dissolution.
 from __future__ import annotations
 
 import ast
+import copy
 import inspect
 import linecache
 import textwrap
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..bits import Bits
-from ..component import Memory
-from ..signal import Signal
+from ..component import Component, Memory
+from ..fsm import FSM
+from ..signal import Signal, SignalBundle
 
 #: Sentinel for "could not be resolved at compile time".
 _FAIL = object()
@@ -101,6 +103,9 @@ class ProcAnalysis:
     notes: Dict[int, Any] = field(default_factory=dict)
     #: Names of process-local temporaries (for collision-free mangling).
     local_names: Set[str] = field(default_factory=set)
+    #: Why the process runs as one call instead of dissolving (first
+    #: statement that does not transpile), or None.
+    call_reason: Optional[str] = None
 
     @property
     def transpilable(self) -> bool:
@@ -226,8 +231,10 @@ class _Analyzer:
         self.call_stack = call_stack if call_stack is not None else set()
         #: name -> _FAIL (runtime value) or resolved object / AnyOf
         self.locals: Dict[str, Any] = {}
-        #: Per-statement transpilability of the current statement.
+        #: Per-statement transpilability of the current statement, and the
+        #: first reason it lost it.
         self.stmt_transpilable = True
+        self.stmt_reason: Optional[str] = None
         self.stmt_locals: Set[str] = set()
         self.reads = analysis.reads
         self.writes = analysis.writes
@@ -242,8 +249,10 @@ class _Analyzer:
         if len(self.analysis.opaque_reasons) < 8:
             self.analysis.opaque_reasons.append(reason)
 
-    def not_transpilable(self) -> None:
+    def not_transpilable(self, reason: Optional[str] = None) -> None:
         self.stmt_transpilable = False
+        if self.stmt_reason is None:
+            self.stmt_reason = reason
 
     def note(self, node: ast.AST, value: Any) -> None:
         self.analysis.notes[id(node)] = value
@@ -313,9 +322,8 @@ class _Analyzer:
             if not ok:
                 return _FAIL
             return AnyOf(ok) if len(ok) > 1 else ok[0]
-        try:
-            value = inspect.getattr_static(base, attr)
-        except (AttributeError, TypeError):
+        value = static_lookup(base, attr)
+        if value is _FAIL:
             return _FAIL
         if isinstance(value, (property, classmethod, staticmethod)):
             return _FAIL  # descriptor: would execute code; analysed elsewhere
@@ -387,7 +395,7 @@ class _Analyzer:
             for target in stmt.targets:
                 self.visit_target(target, stmt.value)
         elif isinstance(stmt, ast.AugAssign):
-            self.not_transpilable()
+            self.not_transpilable("augmented assignment")
             self.visit_expr(stmt.value)
             self.visit_aug_target(stmt.target)
         elif isinstance(stmt, ast.AnnAssign):
@@ -406,16 +414,16 @@ class _Analyzer:
             self.visit_body(stmt.body)
             self.visit_body(stmt.orelse)
         elif isinstance(stmt, (ast.For, ast.While)):
-            self.not_transpilable()
+            self.not_transpilable("loop")
             self.visit_loop(stmt)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self.not_transpilable()
+                self.not_transpilable("return with a value")
                 self.visit_expr(stmt.value)
             else:
                 # A bare `return` early-exits the process; later statements
                 # may not run, which a statement-split schedule cannot model.
-                self.not_transpilable()
+                self.not_transpilable("early return")
         elif isinstance(stmt, (ast.Pass,)):
             return
         elif isinstance(stmt, ast.Assert):
@@ -521,7 +529,7 @@ class _Analyzer:
                     return
             # Writing some other attribute (Python-side state) does not touch
             # the signal graph but cannot be transpiled.
-            self.not_transpilable()
+            self.not_transpilable(f"writes Python attribute .{target.attr}")
             self.visit_expr(target.value)
             return
         if isinstance(target, ast.Subscript):
@@ -531,7 +539,7 @@ class _Analyzer:
                     and any(isinstance(o, Memory) for o in base.options)):
                 self.write_signal(base)
                 self.note(target, base)
-                self.not_transpilable()  # comb memory writes stay interpreted
+                self.not_transpilable("memory write")
                 self.visit_expr(target.slice)
                 return
             if base is _FAIL:
@@ -643,7 +651,8 @@ class _Analyzer:
             if resolved is not _FAIL and not _is_literal(resolved):
                 # Non-literal constant (object reference) used bare: fine for
                 # analysis, but the transpiler cannot embed it.
-                self.not_transpilable()
+                self.not_transpilable(
+                    f"uses a {type(resolved).__name__} object")
             elif resolved is not _FAIL:
                 self.note(node, resolved)
             else:
@@ -677,7 +686,7 @@ class _Analyzer:
             self.visit_expr(node.orelse, truth=truth)
             return
         if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            self.not_transpilable()
+            self.not_transpilable("builds a container")
             for elt in node.elts:
                 self.visit_expr(elt)
             return
@@ -690,11 +699,11 @@ class _Analyzer:
                 self.visit_expr(value)
             return
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
-            self.not_transpilable()
+            self.not_transpilable("comprehension")
             self.visit_comprehension(node.generators, [node.elt])
             return
         if isinstance(node, ast.DictComp):
-            self.not_transpilable()
+            self.not_transpilable("comprehension")
             self.visit_comprehension(node.generators, [node.key, node.value])
             return
         if isinstance(node, ast.JoinedStr):
@@ -738,7 +747,7 @@ class _Analyzer:
         if _is_literal(resolved):
             self.note(node, resolved)
             return
-        self.not_transpilable()
+        self.not_transpilable(f"uses a {type(resolved).__name__} object")
 
     def visit_comprehension(self, generators, elements) -> None:
         for gen in generators:
@@ -804,7 +813,8 @@ class _Analyzer:
                 self.visit_expr(arg, truth=truth)
             for kw in node.keywords:
                 self.visit_expr(kw.value)
-            self.not_transpilable()
+            self.not_transpilable(
+                f"calls builtin {getattr(func, '__name__', func)}")
             return
 
         if func is _FAIL or not callable(func):
@@ -819,7 +829,8 @@ class _Analyzer:
         # A resolvable helper: analyse its body recursively.  The callee's
         # reads/writes land in the *caller's current* sets so statement-level
         # attribution stays correct.
-        self.not_transpilable()
+        self.not_transpilable(
+            f"calls helper {getattr(func, '__name__', 'callable')}")
         for arg in node.args:
             self.visit_expr(arg)
         for kw in node.keywords:
@@ -919,6 +930,7 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
         walker.mem_reads = set()
         walker.mem_writes = set()
         walker.stmt_transpilable = True
+        walker.stmt_reason = None
         walker.stmt_locals = set()
         walker.visit_stmt(stmt)
         analysis.reads |= walker.reads
@@ -938,6 +950,11 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
         units.append(unit)
         if not walker.stmt_transpilable:
             splittable = False
+            if analysis.call_reason is None:
+                first = proc.__code__.co_firstlineno
+                analysis.call_reason = (
+                    f"line {first + stmt.lineno - 1}: "
+                    f"{walker.stmt_reason or type(stmt).__name__}")
     analysis.local_names = set(walker.locals)
     if splittable and not analysis.opaque and units:
         analysis.units = units
@@ -953,3 +970,297 @@ def _locals_used(stmt: ast.stmt, walker: _Analyzer) -> Set[str]:
         if isinstance(node, ast.Name) and node.id in walker.locals:
             used.add(node.id)
     return used
+
+
+# -- clocked processes --------------------------------------------------------------
+#
+# The clock edge is lowered differently from the combinational network: a
+# clocked process runs exactly once per edge, in registration order, so no
+# scheduling is needed and its body is spliced whole into the generated
+# ``edge`` function.  Only *structure* resolves at compile time (signals,
+# memories, FSMs and the components and bundles that hold them); every
+# other expression stays live Python on the bound objects, so counters,
+# lists and configuration attributes are read and written exactly as the
+# interpreted process would.
+
+
+class NotLowerable(Exception):
+    """A clocked process (or helper) the edge lowering leaves interpreted."""
+
+
+#: Nodes that open a scope, bind names the renamer cannot see, or suspend
+#: the frame: a body holding one cannot be spliced into another function.
+_UNSPLICEABLE = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                 ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+                 ast.GeneratorExp, ast.Global, ast.Nonlocal, ast.Yield,
+                 ast.YieldFrom, ast.Await, ast.Import, ast.ImportFrom,
+                 ast.Match, ast.AsyncFor, ast.AsyncWith)
+
+#: Statements an early-return rewrite may copy, in total, per body.
+_MAX_RETURN_COPIES = 64
+
+_CODE_SUSPENDS = inspect.CO_GENERATOR | inspect.CO_COROUTINE \
+    | inspect.CO_ASYNC_GENERATOR | inspect.CO_ITERABLE_COROUTINE
+
+
+def is_structure(obj: Any) -> bool:
+    """Objects whose attributes are fixed once a simulator is built."""
+    return isinstance(obj, (Component, SignalBundle, Signal, Memory, FSM))
+
+
+def fsm_method(obj: Any, name: str) -> bool:
+    """True when ``obj.name`` is :class:`FSM`'s own, unpatched method."""
+    return (isinstance(obj, FSM) and name not in vars(obj)
+            and inspect.getattr_static(type(obj), name, None)
+            is inspect.getattr_static(FSM, name))
+
+
+#: A replayable path to an object a lowering resolved: ``("free", frame,
+#: name)`` for a name in frame number ``frame``, ``(base_ref, attr)`` for a
+#: static attribute of the object ``base_ref`` leads to.
+Ref = tuple
+
+
+class SeqFrame:
+    """One function body (a clocked process or a helper it calls) being
+    spliced into the generated clock edge; frame ``index`` of its lowering."""
+
+    def __init__(self, func: Callable, index: int = 0) -> None:
+        self.func = func
+        self.index = index
+        code = func.__code__
+        self.local_names: Set[str] = set(code.co_varnames)
+        self._freevars = dict(zip(code.co_freevars, func.__closure__ or ()))
+        self._globals = func.__globals__
+        #: Locals bound once to structure: name -> (object, ref).
+        self.aliases: Dict[str, tuple] = {}
+        #: Locals whose single store is a plain top-level assignment.
+        self.alias_defs: Set[str] = set()
+        #: Every name the body stores to.
+        self.stored: Set[str] = set()
+        self.body: List[ast.stmt] = []
+
+    def free_value(self, name: str) -> Any:
+        """The closure, global or builtin object ``name`` names, or _FAIL."""
+        cell = self._freevars.get(name)
+        if cell is not None:
+            try:
+                return cell.cell_contents
+            except ValueError:  # empty cell
+                return _FAIL
+        if name in self._globals:
+            return self._globals[name]
+        builtins = self._globals.get("__builtins__", {})
+        if not isinstance(builtins, dict):
+            builtins = vars(builtins)
+        return builtins.get(name, _FAIL)
+
+    def is_builtin(self, name: str) -> bool:
+        return name not in self._freevars and name not in self._globals
+
+    def resolve(self, node: ast.AST) -> tuple:
+        """``(object, ref)`` for a name or attribute chain, where object is
+        _FAIL unless the chain runs through structure only, and ref is None
+        for what no instance can change (locals, other expressions).
+
+        Attribute chains resolve only while every object along them is
+        structure, and never through descriptors, so mutable Python state
+        (``self.total_writes``, ``self.received``) is never read here.
+        """
+        if isinstance(node, ast.Name):
+            if node.id in self.local_names:
+                return self.aliases.get(node.id, (_FAIL, None))
+            return self.free_value(node.id), ("free", self.index, node.id)
+        if isinstance(node, ast.Attribute):
+            base, ref = self.resolve(node.value)
+            if ref is None:
+                return _FAIL, None
+            if base is _FAIL or not is_structure(base):
+                return _FAIL, (ref, node.attr)
+            return static_attr(base, node.attr), (ref, node.attr)
+        return _FAIL, None
+
+
+def static_lookup(base: Any, attr: str) -> Any:
+    """What ``inspect.getattr_static(base, attr)`` returns, or _FAIL.
+
+    Instances take a direct walk of their class's ``__mro__``, several
+    times cheaper than ``inspect``'s general one; classes go to
+    ``inspect``.
+    """
+    if isinstance(base, type):
+        try:
+            return inspect.getattr_static(base, attr)
+        except AttributeError:
+            return _FAIL
+    instance = getattr(base, "__dict__", None)
+    if not isinstance(instance, dict):
+        instance = {}
+    for klass in type(base).__mro__:
+        found = vars(klass).get(attr, _FAIL)
+        if found is _FAIL:
+            continue
+        kind = type(found)
+        if attr in instance and not (hasattr(kind, "__get__") and (
+                hasattr(kind, "__set__") or hasattr(kind, "__delete__"))):
+            return instance[attr]  # no data descriptor overrides it
+        return found
+    return instance.get(attr, _FAIL)
+
+
+def static_attr(base: Any, attr: str) -> Any:
+    """``base.attr`` without running code: every descriptor but a plain
+    function (a property, a slot, a classmethod...) gives _FAIL."""
+    value = static_lookup(base, attr)
+    if hasattr(type(value), "__get__") and not inspect.isfunction(value):
+        return _FAIL
+    return value
+
+
+def eval_ref(ref: Ref, frames: Sequence[SeqFrame],
+             memo: Dict[Ref, Any]) -> Any:
+    """The object ``ref`` leads to in ``frames`` (see :data:`Ref`)."""
+    try:
+        return memo[ref]
+    except KeyError:
+        pass
+    if ref[0] == "free":
+        value = frames[ref[1]].free_value(ref[2])
+    else:
+        base = eval_ref(ref[0], frames, memo)
+        value = static_attr(base, ref[1]) \
+            if base is not _FAIL and is_structure(base) else _FAIL
+    memo[ref] = value
+    return value
+
+
+#: Per code object: the alias candidates and stored names of a spliceable
+#: body, or the reason it cannot be spliced (bounded, oldest out first).
+_FRAME_CACHE: Dict[Any, tuple] = {}
+_FRAME_CACHE_SIZE = 1024
+
+
+def seq_frame(func: Callable, index: int = 0) -> SeqFrame:
+    """Parse ``func`` into a splice-ready frame, or raise NotLowerable.
+
+    Every ``return`` is rewritten away (see :func:`eliminate_returns`), so
+    the body can run inline in the middle of a larger function.  The
+    checks are made once per code object.
+    """
+    code = getattr(func, "__code__", None)
+    if code is None or not inspect.isfunction(func):
+        raise NotLowerable("not a Python function")
+    cached = _FRAME_CACHE.get(code)
+    if cached is None:
+        try:
+            body, alias_defs, stored = _splice_ready(func)
+        except NotLowerable as exc:
+            _remember(code, (str(exc),))
+            raise
+        _remember(code, (alias_defs, stored))
+    elif len(cached) == 1:
+        raise NotLowerable(cached[0])
+    else:
+        body = eliminate_returns(_body(_parse_proc(func)))
+        alias_defs, stored = cached
+    frame = SeqFrame(func, index)
+    frame.body, frame.alias_defs, frame.stored = body, alias_defs, stored
+    return frame
+
+
+def _remember(code: Any, entry: tuple) -> None:
+    _FRAME_CACHE[code] = entry
+    while len(_FRAME_CACHE) > _FRAME_CACHE_SIZE:
+        del _FRAME_CACHE[next(iter(_FRAME_CACHE))]
+
+
+def _body(parsed: ast.FunctionDef) -> List[ast.stmt]:
+    body = parsed.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant):
+        return body[1:]  # docstring
+    return body
+
+
+def _splice_ready(func: Callable) -> tuple:
+    code = func.__code__
+    if code.co_flags & _CODE_SUSPENDS:
+        raise NotLowerable("generator or coroutine")
+    if "__class__" in code.co_freevars:
+        raise NotLowerable("uses super() or __class__")
+    parsed = _parse_proc(func)
+    if parsed is None:
+        raise NotLowerable("source unavailable")
+    body = _body(parsed)
+    stores: Dict[str, int] = {}
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, _UNSPLICEABLE):
+                raise NotLowerable(f"contains {type(node).__name__}")
+            if isinstance(node, ast.ExceptHandler) and node.name:
+                raise NotLowerable("binds an exception name")
+            if isinstance(node, ast.Name) \
+                    and not isinstance(node.ctx, ast.Load):
+                stores[node.id] = stores.get(node.id, 0) + 1
+    alias_defs = {stmt.targets[0].id for stmt in body
+                  if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                  and isinstance(stmt.targets[0], ast.Name)
+                  and stores.get(stmt.targets[0].id) == 1}
+    return eliminate_returns(body), alias_defs, set(stores)
+
+
+def eliminate_returns(body: List[ast.stmt],
+                      budget: Optional[List[int]] = None) -> List[ast.stmt]:
+    """Rewrite ``body`` so that no ``return`` remains.
+
+    The statements after an ``if`` whose branch returns move into the
+    branches that fall through, so every path runs exactly what it ran
+    before.  A returned value is dropped (a clocked process's result is
+    ignored) but kept as a statement when it may have side effects.  A
+    ``return`` inside a loop, ``try`` or ``with`` raises NotLowerable, as
+    does an ``if`` ladder that would copy more than ``_MAX_RETURN_COPIES``
+    statements.
+    """
+    if budget is None:
+        budget = [_MAX_RETURN_COPIES]
+    out: List[ast.stmt] = []
+    for index, stmt in enumerate(body):
+        if isinstance(stmt, ast.Return):
+            if stmt.value is not None and any(
+                    isinstance(node, ast.Call) for node in ast.walk(stmt.value)):
+                out.append(ast.copy_location(ast.Expr(value=stmt.value), stmt))
+            return out
+        if not any(isinstance(node, ast.Return) for node in ast.walk(stmt)):
+            out.append(stmt)
+            continue
+        if not isinstance(stmt, ast.If):
+            raise NotLowerable(f"return inside {type(stmt).__name__}")
+        rest = body[index + 1:]
+        body_ends = _always_returns(stmt.body)
+        else_ends = _always_returns(stmt.orelse)
+        tail_body: List[ast.stmt] = []
+        if not body_ends:
+            tail_body = rest
+            if not else_ends:
+                budget[0] -= len(rest)
+                if budget[0] < 0:
+                    raise NotLowerable("early returns copy too much code")
+                tail_body = [copy.deepcopy(node) for node in rest]
+        stmt.body = eliminate_returns(stmt.body + tail_body, budget) \
+            or [ast.copy_location(ast.Pass(), stmt)]
+        stmt.orelse = eliminate_returns(
+            stmt.orelse + ([] if else_ends else rest), budget)
+        out.append(stmt)
+        return out
+    return out
+
+
+def _always_returns(body: List[ast.stmt]) -> bool:
+    """Whether every path through ``body`` ends in ``return`` or ``raise``."""
+    if not body:
+        return False
+    last = body[-1]
+    if isinstance(last, (ast.Return, ast.Raise)):
+        return True
+    return isinstance(last, ast.If) and _always_returns(last.body) \
+        and _always_returns(last.orelse)

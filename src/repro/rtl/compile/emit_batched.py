@@ -41,6 +41,7 @@ contamination.
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import inspect
 import re
@@ -72,6 +73,14 @@ _CONST = "const"   # compile-time Python value
 _BOOL = "bool"     # numpy bool row (or scalar bool broadcast)
 _VEC = "vec"       # numpy int64 row (or scalar int broadcast)
 
+#: Integer constants inside this range are bound once per kernel as
+#: lane-width int64 rows (``_k32``, ``_km1`` for -1): numpy combines two
+#: rows about twice as fast as a row and a Python int, which it converts
+#: on every call.  Out-of-range values stay literals (and keep numpy's
+#: overflow behaviour).
+_LANE_CONST_MIN = -(1 << 63)
+_LANE_CONST_MAX = (1 << 63) - 1
+
 
 class VectorizeError(Exception):
     """A process cannot be vectorized; it falls back to a per-lane call."""
@@ -96,6 +105,8 @@ class _Ex:
     const: Any = None
     #: Upper bound on the value when known (enables width-mask elision).
     sigmask: Optional[int] = None
+    #: Code of the logical negation, when one ufunc cheaper than ``~code``.
+    negated: Optional[str] = None
 
 
 @dataclass
@@ -178,7 +189,7 @@ class BatchedProgram:
     bake_calls: List[Tuple[Any, str, Tuple, Any]] = \
         field(default_factory=list)
 
-    @property
+    @functools.cached_property
     def signature(self) -> str:
         """Lane-compatibility key: identical signature == identical kernel."""
         payload = "\0".join([
@@ -389,6 +400,8 @@ class _Vectorizer:
         self.frames: List[_Frame] = []
         #: mask-var -> the mask-var it was emitted as the negation of.
         self.complements: Dict[str, str] = {}
+        #: (branch mask, live mask) -> temporary holding their conjunction.
+        self.eff_masks: Dict[Tuple[str, str], str] = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -418,7 +431,14 @@ class _Vectorizer:
             return live
         if live is None:
             return mask
-        return f"({mask} & {live})"
+        # Mask temporaries are assigned once, so a combination computed
+        # for one store serves every later store under the same branch.
+        combined = self.eff_masks.get((mask, live))
+        if combined is None:
+            combined = self.temp()
+            self.line(f"{combined} = ({mask} & {live})")
+            self.eff_masks[(mask, live)] = combined
+        return combined
 
     # -- statement emission ----------------------------------------------------
 
@@ -539,6 +559,7 @@ class _Vectorizer:
         frame.ret_materialized = True
         self.line(f"{frame.ret_var} = _np.zeros(_NL, dtype=_np.int64)")
         for em, const in frame.ret_pending:
+            const = self.em.lane_const(const)
             if em is None:
                 self.line(f"{frame.ret_var}[...] = {const}")
             else:
@@ -563,18 +584,22 @@ class _Vectorizer:
                 return _Ex(em, _BOOL, sigmask=1)
             if const == 0:
                 return _const_ex(0)
-            self.line(f"{frame.ret_var} = _np.where({em}, {const}, 0)")
+            self.line(f"{frame.ret_var} = _np.where("
+                      f"{em}, {self.em.lane_const(const)}, "
+                      f"{self.em.lane_const(0)})")
             bound = const if const >= 0 else None
             return _Ex(frame.ret_var, _VEC, sigmask=bound)
         if len(pending) == 2:
             (m1, c1), (m2, c2) = pending
             if m1 is not None and self.complements.get(m2) == m1:
                 if (c1, c2) == (1, 0):
-                    return _Ex(m1, _BOOL, sigmask=1)
+                    return _Ex(m1, _BOOL, sigmask=1, negated=m2)
                 if (c1, c2) == (0, 1):
-                    return _Ex(f"(~{m1})", _BOOL, sigmask=1)
+                    return _Ex(m2, _BOOL, sigmask=1, negated=m1)
                 bound = max(c1, c2) if c1 >= 0 and c2 >= 0 else None
-                self.line(f"{frame.ret_var} = _np.where({m1}, {c1}, {c2})")
+                self.line(f"{frame.ret_var} = _np.where("
+                          f"{m1}, {self.em.lane_const(c1)}, "
+                          f"{self.em.lane_const(c2)})")
                 return _Ex(frame.ret_var, _VEC, sigmask=bound)
         self.materialize_ret(frame)
         return _Ex(frame.ret_var, _VEC)
@@ -640,10 +665,11 @@ class _Vectorizer:
             # Scalar semantics: lanes outside the mask never read this
             # local afterwards (they would hit UnboundLocalError), so any
             # lane value is acceptable there.
-            self.line(f"{var} = _np.where({mask}, {vec}, 0)")
+            self.line(f"{var} = _np.where({mask}, {vec}, "
+                      f"{self.em.lane_const(0)})")
         elif previous.kind == _CONST:
             self.line(f"{var} = _np.where({mask}, {vec}, "
-                      f"{repr(int(previous.const))})")
+                      f"{self.as_vec(previous)})")
         else:
             self.line(f"{var} = _np.where({mask}, {vec}, {var})")
         prev_mask = previous.sigmask if previous is not None else 0
@@ -659,20 +685,21 @@ class _Vectorizer:
         ex = self.expr(value_node)
         em = self.eff(mask)
         if ex.kind == _CONST:
-            code = repr(int(ex.const) & sig._mask)
+            code = self.em.lane_const(int(ex.const) & sig._mask)
         elif ex.sigmask is not None and ex.sigmask <= sig._mask:
             code = ex.code
         else:
-            code = f"({ex.code} & {sig._mask})"
+            code = f"({ex.code} & {self.em.lane_const(sig._mask)})"
         if self.mode == "seq":
             nrow = self.em.nrow(slot)
             if em is None:
                 self.line(f"{nrow}[...] = {code}")
             else:
-                # In-place masked store: one ufunc call instead of a full
+                # In-place masked store: one call instead of a full
                 # where-select plus a slice assignment.  Branch masks are
-                # always numpy bool arrays, which ``where=`` requires.
-                self.line(f"_np.copyto({nrow}, {code}, where={em})")
+                # always numpy bool rows of the lane width, as ``putmask``
+                # requires; a scalar value is repeated.
+                self.line(f"_np.putmask({nrow}, {em}, {code})")
             return
         # Combinational writes keep only the value row hot; the next rows
         # are resynchronized wholesale by one copyto at the end of settle
@@ -703,7 +730,7 @@ class _Vectorizer:
             self.line(f"{t} = _np.where({em}, {code}, {vrow})")
             self.line(f"{vrow}[...] = {nrow}[...] = {t}")
         else:
-            self.line(f"_np.copyto({vrow}, {code}, where={em})")
+            self.line(f"_np.putmask({vrow}, {em}, {code})")
 
     def write_memory(self, mem: Memory, index_node: ast.expr,
                      value_node: ast.expr, mask: Optional[str]) -> None:
@@ -715,21 +742,26 @@ class _Vectorizer:
         ex = self.expr(value_node)
         em = self.eff(mask)
         if ex.kind == _CONST:
-            code = repr(int(ex.const) & mem._mask)
+            code = self.em.lane_const(int(ex.const) & mem._mask)
         elif ex.sigmask is not None and ex.sigmask <= mem._mask:
             code = ex.code
         else:
-            code = f"({ex.code} & {mem._mask})"
+            code = f"({ex.code} & {self.em.lane_const(mem._mask)})"
         if idx.kind == _CONST:
             cell = f"{name}[{int(idx.const) % mem.depth}]"
-        else:
-            ix = self.temp()
-            self.line(f"{ix} = {self.mem_index(idx, mem.depth)}")
-            cell = f"{name}[{ix}, _LANES]"
-        if em is None:
-            self.line(f"{cell} = {code}")
-        else:
-            self.line(f"{cell} = _np.where({em}, {code}, {cell})")
+            if em is None:
+                self.line(f"{cell} = {code}")
+            else:
+                self.line(f"{cell} = _np.where({em}, {code}, {cell})")
+            return
+        index = self.mem_index(idx, mem.depth)
+        if em is not None:
+            # Masked-off lanes store into the spare row every batched
+            # memory has past its end: one select on the index instead of
+            # a gather plus a select on the data.
+            index = f"_np.where({em}, {index}, " \
+                    f"{self.em.lane_const(mem.depth)})"
+        self.line(f"{name}[{index}, _LANES] = {code}")
 
     def write_attr(self, target: ast.Attribute, value_node: ast.expr,
                    mask: Optional[str]) -> None:
@@ -739,13 +771,32 @@ class _Vectorizer:
                             f"{target.attr!r}")
         row = self.em.attr_row(owner, target.attr, self, register=True)
         self.frame.impure = True
-        ex = self.expr(value_node)
         em = self.eff(mask)
-        code = repr(int(ex.const)) if ex.kind == _CONST else self.as_vec(ex)
+        step = self.unit_step(value_node, owner, target.attr)
+        if step is not None and em is not None:
+            # ``self.n += 1`` under a branch: adding the bool lane mask is
+            # one in-place ufunc instead of an add plus a masked store.
+            self.line(f"{row} {step}= {em}")
+            return
+        code = self.as_vec(self.expr(value_node))
         if em is None:
             self.line(f"{row}[...] = {code}")
         else:
-            self.line(f"_np.copyto({row}, {code}, where={em})")
+            self.line(f"_np.putmask({row}, {em}, {code})")
+
+    def unit_step(self, value_node: ast.expr, owner: Any,
+                  attr: str) -> Optional[str]:
+        """``"+"``/``"-"`` when ``value_node`` is ``owner.attr +/- 1``."""
+        if not isinstance(value_node, ast.BinOp) \
+                or not isinstance(value_node.op, (ast.Add, ast.Sub)):
+            return None
+        left, right = value_node.left, value_node.right
+        if not isinstance(left, ast.Attribute) or left.attr != attr \
+                or not isinstance(right, ast.Constant) \
+                or type(right.value) is not int or right.value != 1 \
+                or self.frame.res.resolve(left.value) is not owner:
+            return None
+        return "+" if isinstance(value_node.op, ast.Add) else "-"
 
     # -- expression statements (calls, anchors) --------------------------------
 
@@ -774,18 +825,19 @@ class _Vectorizer:
         self.frame.impure = True
         ex = self.expr(value_node)
         em = self.eff(mask)
+        # Lane indices and values cross into Python as plain ints in one
+        # ``tolist()`` each, rather than one numpy scalar per lane.
+        loop = "for _j in range(_NL):" if em is None else \
+            f"for _j in _np.flatnonzero({em}).tolist():"
         if ex.kind == _CONST:
-            loop = f"for _j in range(_NL):" if em is None else \
-                f"for _j in _np.nonzero({em})[0]:"
             self.line(loop)
             self.line(f"    {name}[_j].append({repr(int(ex.const))})")
             return
         t = self.temp()
-        self.line(f"{t} = {self.as_vec(ex)}")
-        loop = "for _j in range(_NL):" if em is None else \
-            f"for _j in _np.nonzero({em})[0]:"
+        self.line(f"{t} = _np.asarray({self.as_vec(ex)}, "
+                  f"dtype=_np.int64).tolist()")
         self.line(loop)
-        self.line(f"    {name}[_j].append(int({t}[_j]))")
+        self.line(f"    {name}[_j].append({t}[_j])")
 
     # -- expressions -----------------------------------------------------------
 
@@ -816,7 +868,7 @@ class _Vectorizer:
 
     def as_vec(self, ex: _Ex) -> str:
         if ex.kind == _CONST:
-            return repr(int(ex.const))
+            return self.em.lane_const(int(ex.const))
         return ex.code
 
     def mem_index(self, idx: _Ex, depth: int) -> str:
@@ -826,15 +878,23 @@ class _Vectorizer:
             return vec
         pmask = _pow2_mask(depth)
         if pmask is not None:
-            return f"({vec} & {pmask})"
-        return f"(({vec}) % {depth})"
+            return f"({vec} & {self.em.lane_const(pmask)})"
+        return f"(({vec}) % {self.em.lane_const(depth)})"
 
     def as_bool(self, ex: _Ex) -> str:
         if ex.kind == _CONST:
             return repr(bool(ex.const))
         if ex.kind == _BOOL:
             return ex.code
-        return f"({ex.code} != 0)"
+        return f"({ex.code} != {self.em.lane_const(0)})"
+
+    def as_not(self, ex: _Ex) -> str:
+        """Code for ``not ex`` on a non-constant expression."""
+        if ex.kind == _BOOL:
+            return ex.negated or f"(~{ex.code})"
+        # One comparison instead of a boolification plus an invert:
+        # ``x == 0`` is exactly ``not bool(x)`` for integer rows.
+        return f"({ex.code} == {self.em.lane_const(0)})"
 
     def expr(self, node: ast.expr, truth: bool = False) -> _Ex:
         if isinstance(node, ast.Constant):
@@ -912,8 +972,10 @@ class _Vectorizer:
             return _Ex(repr(resolved), _CONST, const=resolved)
         if isinstance(resolved, Signal):
             if truth:
-                slot = self.em.slot_of(resolved, self)
-                return _Ex(f"({self.em.vrow(slot)} != 0)", _BOOL, sigmask=1)
+                row = self.em.vrow(self.em.slot_of(resolved, self))
+                zero = self.em.lane_const(0)
+                return _Ex(f"({row} != {zero})", _BOOL, sigmask=1,
+                           negated=f"({row} == {zero})")
             raise self.fail("bare signal used as a value")
         raise self.fail(f"unsupported compile-time value "
                         f"{type(resolved).__name__}")
@@ -950,9 +1012,9 @@ class _Vectorizer:
             # clamp directly (the lower clamp is dead for masked indices).
             vec = self.as_vec(idx)
             if idx.sigmask is None:
-                vec = f"_np.maximum({vec}, 0)"
+                vec = f"_np.maximum({vec}, {self.em.lane_const(0)})"
             return _Ex(f"{mat}[0][_LANES, _np.minimum({vec}, "
-                       f"{length} - 1)]", _VEC)
+                       f"{length} - {self.em.lane_const(1)})]", _VEC)
         raise self.fail("unsupported subscript base")
 
     def expr_call(self, node: ast.Call, truth: bool) -> _Ex:
@@ -980,7 +1042,8 @@ class _Vectorizer:
                     _Resolver.trace.record_call(
                         base, "encode", (state_name,), code)
                 slot = self.em.slot_of(base.state, self)
-                return _Ex(f"({self.em.vrow(slot)} == {code})", _BOOL,
+                return _Ex(f"({self.em.vrow(slot)} == "
+                           f"{self.em.lane_const(code)})", _BOOL,
                            sigmask=1)
         func = frame.res.resolve(func_node)
         if func is len and len(node.args) == 1 and not node.keywords:
@@ -1050,9 +1113,7 @@ class _Vectorizer:
             if len(parts) == 1:
                 single = parts[0]
                 return _Ex(self.as_bool(single), _BOOL, sigmask=1)
-            op = " & " if is_and else " | "
-            code = op.join(self.as_bool(p) for p in parts)
-            return _Ex(f"({code})", _BOOL, sigmask=1)
+            return _Ex(self.truth_join(parts, is_and), _BOOL, sigmask=1)
         # Value semantics: `a and b` is b where a is truthy else a.  When
         # every operand is 0/1-valued the select chain degenerates to the
         # bitwise join (``a and b == a & b`` over {0, 1}), which costs one
@@ -1061,9 +1122,7 @@ class _Vectorizer:
                 p.kind == _BOOL
                 or (p.sigmask is not None and p.sigmask <= 1)
                 for p in parts):
-            op = " & " if is_and else " | "
-            code = op.join(self.as_bool(p) for p in parts)
-            return _Ex(f"({code})", _BOOL, sigmask=1)
+            return _Ex(self.truth_join(parts, is_and), _BOOL, sigmask=1)
         result = parts[-1]
         for prev in reversed(parts[:-1]):
             cond = self.as_bool(prev)
@@ -1079,16 +1138,34 @@ class _Vectorizer:
             result = _Ex(code, _VEC, sigmask=bound)
         return result
 
+    def truth_join(self, parts: List[_Ex], is_and: bool) -> str:
+        """Code for the truth of ``p1 and p2 ...`` (``or``) over >= 2 parts.
+
+        Integer rows are paired into ``_np.logical_and``/``logical_or``,
+        which boolify both operands in the one ufunc that joins them
+        (three times cheaper than two ``!= 0`` plus an ``&``); bool rows
+        join with ``&``/``|``.  Every operand is evaluated either way, so
+        the grouping changes no result.
+        """
+        func = "_np.logical_and" if is_and else "_np.logical_or"
+        vecs = [p.code for p in parts if p.kind != _BOOL]
+        terms = [p.code for p in parts if p.kind == _BOOL]
+        paired = [f"{func}({a}, {b})" for a, b in zip(vecs[::2], vecs[1::2])]
+        if len(vecs) % 2:
+            if terms:
+                paired.append(f"{func}({vecs[-1]}, {terms.pop(0)})")
+            else:
+                paired.append(self.as_bool(_Ex(vecs[-1], _VEC)))
+        op = " & " if is_and else " | "
+        return f"({op.join(paired + terms)})"
+
     def expr_unary(self, node: ast.UnaryOp, truth: bool) -> _Ex:
         if isinstance(node.op, ast.Not):
             inner = self.expr(node.operand, truth=True)
             if inner.kind == _CONST:
                 return _const_ex(not inner.const)
-            if inner.kind == _BOOL:
-                return _Ex(f"(~{inner.code})", _BOOL, sigmask=1)
-            # One comparison instead of a boolification plus an invert:
-            # ``x == 0`` is exactly ``not bool(x)`` for integer rows.
-            return _Ex(f"({self.as_vec(inner)} == 0)", _BOOL, sigmask=1)
+            return _Ex(self.as_not(inner), _BOOL, sigmask=1,
+                       negated=self.as_bool(inner))
         inner = self.expr(node.operand)
         if isinstance(node.op, ast.UAdd):
             return inner
@@ -1114,7 +1191,8 @@ class _Vectorizer:
         if isinstance(node.op, ast.Mod) and right.kind == _CONST:
             pmask = _pow2_mask(right.const)
             if pmask is not None:
-                return _Ex(f"({self.as_vec(left)} & {pmask})", _VEC,
+                return _Ex(f"({self.as_vec(left)} & "
+                           f"{self.em.lane_const(pmask)})", _VEC,
                            sigmask=pmask)
         code = f"({self.as_vec(left)} {symbol} {self.as_vec(right)})"
         bound = None
@@ -1166,8 +1244,8 @@ class _Vectorizer:
                         hit if isinstance(op, ast.In) else not hit))
                     continue
                 vec = self.as_vec(item)
-                alts = " | ".join(f"({vec} == {int(x)})" for x in container) \
-                    or "False"
+                alts = " | ".join(f"({vec} == {self.em.lane_const(int(x))})"
+                                  for x in container) or "False"
                 code = f"({alts})" if isinstance(op, ast.In) \
                     else f"(~({alts}))"
                 exprs.append(_Ex(code, _BOOL, sigmask=1))
@@ -1207,9 +1285,11 @@ class _Vectorizer:
         cond = self.as_bool(test)
         if body.kind == _CONST and orelse.kind == _CONST:
             if body.const == 1 and orelse.const == 0:
-                return _Ex(cond, _BOOL, sigmask=1)
+                return _Ex(cond, _BOOL, sigmask=1,
+                           negated=self.as_not(test))
             if body.const == 0 and orelse.const == 1:
-                return _Ex(f"(~{cond})", _BOOL, sigmask=1)
+                return _Ex(self.as_not(test), _BOOL, sigmask=1,
+                           negated=cond)
         code = f"_np.where({cond}, {self.as_vec(body)}, " \
                f"{self.as_vec(orelse)})"
         bound = None
@@ -1404,6 +1484,7 @@ class _BatchEmitter:
         self.comb_calls: List[LaneCallPlan] = []
         self.seq_calls: List[LaneCallPlan] = []
         self.fallback_reasons: List[str] = []
+        self.lane_consts: Set[int] = set()
         self._mask_mutated = False
         self._n_vec_comb = 0
         self._n_vec_seq = 0
@@ -1419,6 +1500,19 @@ class _BatchEmitter:
     def vrow(self, slot: int) -> str:
         self.used_v.add(slot)
         return f"_v{slot}"
+
+    def lane_const(self, value: Any) -> str:
+        """``value`` as a lane-width constant row name (``_k32``, ``_km1``).
+
+        The rows are bound once as kernel defaults and never written: every
+        use is an operand of a ufunc, a select or a copy into storage.
+        Anything but an int64-range ``int`` stays a literal.
+        """
+        if type(value) is not int \
+                or not _LANE_CONST_MIN <= value <= _LANE_CONST_MAX:
+            return repr(value)
+        self.lane_consts.add(value)
+        return f"_k{value}" if value >= 0 else f"_km{-value}"
 
     def nrow(self, slot: int) -> str:
         self.used_n.add(slot)
@@ -1827,6 +1921,8 @@ class _BatchEmitter:
             bindings.append(f"_lc{q}=_LC[{q}]")
         for q in range(len(self.seq_calls)):
             bindings.append(f"_lq{q}=_LQ[{q}]")
+        for value in sorted(self.lane_consts):
+            bindings.append(f"{self.lane_const(value)}=_KC({value})")
         settle_params = ", ".join(["sim"] + bindings + ["_V=_V", "_VN=_VN"])
         cycle_params = ", ".join(
             ["sim"] + bindings + ["_V=_V", "_VN=_VN", "_settle=settle"])

@@ -39,7 +39,6 @@ wrong ``None`` costs time, never correctness.
 
 from __future__ import annotations
 
-import inspect
 import types
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -48,6 +47,7 @@ import numpy as _np
 
 from ..component import Memory
 from ..signal import Signal
+from .analyze import _FAIL, static_lookup
 from .emit_batched import (
     CALL_RAISED,
     BatchedProgram,
@@ -61,6 +61,36 @@ __all__ = ["rebind_batched_program"]
 #: ``==``.  The strict ``type(r) is type(l)`` check keeps ``True`` and
 #: ``1`` distinct, matching how the emitter folds them.
 _SCALARS = (bool, int, float, complex, str, bytes)
+_SCALAR_TYPES = {*_SCALARS, type(None)}
+_INT_TYPES = {int, bool}
+_UNMAPPED = object()
+
+#: How the walk treats an instance of each type, decided once per type
+#: (a walk meets the same few types hundreds of times per lane).
+_SCALAR, _CLASS, _SIGNAL, _MEMORY, _ARRAY, _FUNCTION, _METHOD, _SEQUENCE, \
+    _DICT, _SET, _INSTANCE = range(11)
+_WALK_KIND: Dict[type, int] = {}
+#: Kinds :func:`_pure_data` can accept (any other kind is never pure).
+_PURE_KINDS = {_SCALAR, _SEQUENCE, _DICT, _SET}
+
+
+def _walk_kind(cls: type) -> int:
+    kind = _WALK_KIND.get(cls)
+    if kind is None:
+        for base, kind in (((*_SCALARS, type(None)), _SCALAR),
+                           ((type, types.ModuleType), _CLASS),
+                           (Signal, _SIGNAL), (Memory, _MEMORY),
+                           (_np.ndarray, _ARRAY),
+                           (types.FunctionType, _FUNCTION),
+                           (types.MethodType, _METHOD),
+                           ((list, tuple), _SEQUENCE), (dict, _DICT),
+                           ((set, frozenset), _SET)):
+            if issubclass(cls, base):
+                break
+        else:
+            kind = _INSTANCE
+        _WALK_KIND[cls] = kind
+    return kind
 
 
 class _Bail(Exception):
@@ -111,68 +141,81 @@ class _Correspondence:
         either promoted to per-lane rows (relocated later) or recorded in
         ``bake_attrs`` (verified later).
         """
-        if r is l:
-            # One shared object (class, module table, interned scalar):
-            # nothing lane-specific can hide here unless it is mutable
-            # and lane-written, which the emitter never resolves through.
-            self.shared.add(id(r))
-            self._pins.append(r)
-            return
-        if isinstance(r, _SCALARS) or isinstance(l, _SCALARS):
-            if type(r) is not type(l):
+        cls = type(r)
+        if cls in _SCALAR_TYPES:
+            # Exact scalar leaf (the bulk of any walk): never mapped, and
+            # never asked for by ``lane_object``.
+            if r is l:
+                return
+            if cls is not type(l):
                 raise _Bail("scalar type mismatch")
             if value and r != l:
                 raise _Bail("scalar value mismatch at a baked position")
             return
-        if r is None or l is None:
-            raise _Bail("None vs object")
         key = id(r)
-        if key in self.mapping:
-            if self.mapping[key] is not l:
+        mapped = self.mapping.get(key, _UNMAPPED)
+        if mapped is not _UNMAPPED:
+            if mapped is not l:
                 raise _Bail("inconsistent correspondence")
             return
-        if type(r) is not type(l):
+        if r is l:
+            # One shared object (class, module table, interned scalar):
+            # nothing lane-specific can hide here unless it is mutable
+            # and lane-written, which the emitter never resolves through.
+            self.shared.add(key)
+            self._pins.append(r)
+            return
+        if cls is not type(l):
             raise _Bail("type mismatch")
-        if isinstance(r, (type, types.ModuleType)):
+        kind = _WALK_KIND.get(cls)
+        if kind is None:
+            kind = _walk_kind(cls)
+        if kind == _SCALAR:
+            # A scalar subclass (enum members and the like).
+            if value and r != l:
+                raise _Bail("scalar value mismatch at a baked position")
+            return
+        if kind == _CLASS:
             # Distinct classes/modules of equal type: resolution results
             # (getattr_static on classes, module globals) could differ in
             # ways no recorded bake captures.  Identity or bust.
             raise _Bail("distinct classes/modules")
         self.mapping[key] = l
         self._pins.append(r)
-        if id(l) in self.inverse:
+        lkey = id(l)
+        if lkey in self.inverse:
             raise _Bail("correspondence is not injective")
-        self.inverse.add(id(l))
-        self._dispatch(r, l, value)
-
-    def _dispatch(self, r: Any, l: Any, value: bool) -> None:
-        if isinstance(r, Signal):
+        self.inverse.add(lkey)
+        if kind == _SIGNAL:  # the commonest object, settled here
             if r._mask != l._mask:
                 raise _Bail("signal width mismatch")
             return
-        if isinstance(r, Memory):
+        self._dispatch(kind, r, l, value)
+
+    def _dispatch(self, kind: int, r: Any, l: Any, value: bool) -> None:
+        if kind == _MEMORY:
             if r.depth != l.depth or r._mask != l._mask:
                 raise _Bail("memory shape mismatch")
             return
-        if isinstance(r, _np.ndarray):
+        if kind == _ARRAY:
             # Runtime state (lane rows): the emitter never reads ndarray
             # contents at compile time.
             return
-        if isinstance(r, types.FunctionType):
+        if kind == _FUNCTION:
             self._match_function(r, l)
             return
-        if isinstance(r, types.MethodType):
+        if kind == _METHOD:
             if r.__func__.__code__ is not l.__func__.__code__:
                 raise _Bail("bound method code mismatch")
             self.match(r.__self__, l.__self__)
             return
-        if isinstance(r, (list, tuple)):
+        if kind == _SEQUENCE:
             self._match_sequence(r, l, value)
             return
-        if isinstance(r, dict):
+        if kind == _DICT:
             self._match_dict(r, l, value)
             return
-        if isinstance(r, (set, frozenset)):
+        if kind == _SET:
             # Resolution never folds set *elements* (record_container
             # skips sets), so contents are runtime payload.
             return
@@ -185,8 +228,18 @@ class _Correspondence:
             raise _Bail(f"opaque instance of {type(r).__name__}")
         if r_vars.keys() != l_vars.keys():
             raise _Bail("instance attribute sets differ")
+        match, mapping = self.match, self.mapping
         for name, r_val in r_vars.items():
-            self.match(r_val, l_vars[name])
+            l_val = l_vars[name]
+            cls = type(r_val)
+            # Inline the two answers ``match`` gives without walking: a
+            # non-baked scalar leaf of the same type, and a pair already
+            # in correspondence (signals reached from their owner).
+            if cls in _SCALAR_TYPES and cls is type(l_val):
+                continue
+            if mapping.get(id(r_val), _UNMAPPED) is l_val:
+                continue
+            match(r_val, l_val)
 
     def _match_function(self, r: Any, l: Any) -> None:
         if r.__code__ is not l.__code__:
@@ -228,8 +281,12 @@ class _Correspondence:
             return
         if len(r) != len(l):
             raise _Bail("sequence length mismatch")
+        match, mapping = self.match, self.mapping
+        value = value or full
         for r_val, l_val in zip(r, l):
-            self.match(r_val, l_val, value=value or full)
+            if mapping.get(id(r_val), _UNMAPPED) is l_val:
+                continue  # already in correspondence
+            match(r_val, l_val, value)
 
     def _match_dict(self, r: Any, l: Any, value: bool) -> None:
         full = id(r) in self.recorded
@@ -253,21 +310,30 @@ def _pure_data(obj: Any, _depth: int = 0) -> bool:
     """
     if _depth > 8:
         return False
-    if obj is None or isinstance(obj, _SCALARS):
+    kind = _walk_kind(type(obj))
+    if kind == _SCALAR:
         return True
-    if isinstance(obj, (list, tuple, set, frozenset)):
+    if kind == _SEQUENCE or kind == _SET:
+        # Flat payload (pixel queues, frames' rows) in one C-level pass;
+        # one element of a never-pure kind (a signal in a port list)
+        # settles the rest just as fast.
+        kinds = set(map(type, obj))
+        if kinds <= _SCALAR_TYPES:
+            return True
+        if any(_walk_kind(cls) not in _PURE_KINDS for cls in kinds):
+            return False
         return all(_pure_data(x, _depth + 1) for x in obj)
-    if isinstance(obj, dict):
+    if kind == _DICT:
         return all(isinstance(k, _SCALARS) and _pure_data(v, _depth + 1)
                    for k, v in obj.items())
     return False
 
 
 def _static_attr(owner: Any, attr: str) -> Any:
-    try:
-        return inspect.getattr_static(owner, attr)
-    except AttributeError:
+    value = static_lookup(owner, attr)
+    if value is _FAIL:
         raise _Bail(f"missing attribute {attr!r}")
+    return value
 
 
 def _probe_call(owner: Any, method: str, args: Tuple) -> Any:
@@ -381,8 +447,9 @@ def _rebind(reference: BatchedProgram, top: Any) -> BatchedProgram:
     gather_lists = []
     for lst in reference.gather_lists:
         lane_lst = corr.lane_object(lst)
-        if not isinstance(lane_lst, list) or not all(
-                isinstance(x, int) for x in lane_lst):
+        if not isinstance(lane_lst, list) or not (
+                set(map(type, lane_lst)) <= _INT_TYPES
+                or all(isinstance(x, int) for x in lane_lst)):
             raise _Bail("gather list is not all-int on this lane")
         gather_lists.append(lane_lst)
     append_lists = []
@@ -402,7 +469,7 @@ def _rebind(reference: BatchedProgram, top: Any) -> BatchedProgram:
     seq_calls = [relocate(plan, seq_procs)
                  for plan in reference.seq_calls]
 
-    return BatchedProgram(
+    program = BatchedProgram(
         source=reference.source,
         report=reference.report,
         signals=signals,
@@ -419,3 +486,7 @@ def _rebind(reference: BatchedProgram, top: Any) -> BatchedProgram:
         # rebound program is a *product*, not a rebind reference — using
         # it as one simply bails and re-emits.
     )
+    # The signature hashes the source and the memory shapes, all proven
+    # equal above: prime the cached value instead of rehashing the source.
+    program.__dict__["signature"] = reference.signature
+    return program

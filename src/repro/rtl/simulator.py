@@ -119,8 +119,9 @@ class Simulator:
             compile_start = time.perf_counter()
             with _obs_tracing.span("compile", strategy=COMPILED,
                                    design=type(top).__name__):
-                self._program = compile_design(self._comb, self._seq,
-                                               max_settle=max_settle)
+                self._program = compile_design(
+                    self._comb, self._seq, max_settle=max_settle,
+                    own=self._signals + self._memories)
             if profiler is not None:
                 profiler.record_compile(time.perf_counter() - compile_start,
                                         self._program.report)
@@ -361,7 +362,7 @@ class Simulator:
             start = time.perf_counter()
             if self._strategy == COMPILED:
                 settle = self._program.settle
-                seq = self._seq
+                edge = self._program.edge
                 for _ in range(cycles):
                     # Mirrors the generated cycle() (see emit_module), with
                     # the settle return values captured instead of dropped.
@@ -369,12 +370,7 @@ class Simulator:
                         self._check_attached()
                     if self._dirty or self._written:
                         iterations += settle(self)
-                    for proc in seq:
-                        proc()
-                    written = self._written
-                    for sig in written:
-                        sig._value = sig._next
-                    del written[:]
+                    edge(self)
                     iterations += settle(self)
                     self._cycles += 1
                     for watcher in self._watchers:
@@ -414,11 +410,18 @@ class Simulator:
                    max_cycles: Optional[int]) -> int:
         budget = self.max_cycles if max_cycles is None else max_cycles
         start = self._cycles
+        # With telemetry off a compiled cycle is the generated cycle()
+        # itself; the check is the one step() makes, once per cycle.
+        cycle = self._program.cycle if self._strategy == COMPILED else None
         while not condition():
             if self._cycles - start >= budget:
                 raise SimulationError(
                     f"condition not reached within {budget} cycles")
-            self.step()
+            if cycle is None or _obs_profile._ACTIVE is not None \
+                    or _obs_tracing._STATE.active:
+                self.step()
+            else:
+                cycle(self)
         return self._cycles - start
 
     def settle(self) -> int:

@@ -47,6 +47,13 @@ KNOWN = {
     "batched.stale_lane_commit":
         "Batched emitter's clock-edge commit skips the last lane column, "
         "freezing that lane's registers at their pre-edge values",
+    # Scalar-emitter fault: switches the compiled code generator
+    # (repro.rtl.compile.emit); every scalar ``compiled`` Simulator built
+    # while it is on carries the fault.
+    "compiled.stale_edge_commit":
+        "Scalar emitter's clock-edge commit skips the last register of "
+        "every compiled clocked process's write set, freezing it at its "
+        "pre-edge value",
 }
 
 _active: Set[str] = set()

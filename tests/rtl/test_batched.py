@@ -8,7 +8,9 @@ fallback path for unvectorizable processes, lane-permutation and
 batch-splitting invariance, attach/detach ownership, reset and watchers.
 """
 
+import inspect
 import random
+import re
 
 import pytest
 
@@ -62,6 +64,43 @@ def test_ragged_batch_sizes_match_scalar(n_lanes):
               for i, (w, h) in enumerate(shapes)]
     scalar = [_scalar_run(frame) for frame in frames]
     assert _batched_run(frames) == scalar
+
+
+def _fifo_counters(top):
+    return [(c.name, c.total_pushed, c.total_popped)
+            for c in top.walk() if hasattr(c, "total_pushed")]
+
+
+def test_promoted_counters_and_lane_constants_survive_a_run():
+    """Python counters promoted to lane rows (the FIFOs' ``total_pushed``
+    and ``total_popped``, stepped in place by adding the branch mask) must
+    end every lane where a scalar run of the same length leaves them; and
+    the kernel's constant rows (``_k32``...) must still hold their values
+    after the run: generated code reads them but never writes them."""
+    frames = [random_frame(w, h, seed=70 + i)
+              for i, (w, h) in enumerate([(8, 5), (6, 9), (10, 3)])]
+    systems = [_make_system(frame) for frame in frames]
+    batch = BatchedSimulator(systems)
+    batch.run_lockstep(
+        [(lambda s=system, n=len(flatten(frame)): s.sink.count >= n)
+         for system, frame in zip(systems, frames)], max_cycles=50_000)
+    for system, frame in zip(systems, frames):
+        reference = _make_system(frame)
+        Simulator(reference, strategy=COMPILED).step(batch.cycles)
+        counters = _fifo_counters(system)
+        assert counters and all(pushed > 0 for _n, pushed, _p in counters)
+        assert counters == _fifo_counters(reference)
+
+    for kernel in (batch._settle_fn, batch._cycle_fn):
+        rows = {name: param.default for name, param
+                in inspect.signature(kernel).parameters.items()
+                if re.fullmatch(r"_km?\d+", name)}
+        assert rows, "expected hoisted lane constants"
+        for name, row in rows.items():
+            value = -int(name[3:]) if name.startswith("_km") \
+                else int(name[2:])
+            assert row.shape == (batch.n_lanes,)
+            assert (row == value).all(), name
 
 
 # -- mixed-convergence cyclic groups ------------------------------------------
@@ -273,6 +312,7 @@ def test_rebind_accepts_stimulus_siblings_and_rejects_baked_mismatch():
     assert rebound is not None
     assert rebound.source is reference.source
     assert rebound.signature == reference.signature
+    assert emit_batched_program(sibling).signature == rebound.signature
     assert rebound.signals == sibling.all_signals()
 
     other = _make_system(random_frame(8, 5, seed=52), capacity=16)

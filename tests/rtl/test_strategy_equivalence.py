@@ -90,8 +90,9 @@ def test_traces_identical_to_fixpoint_oracle(label, strategy):
 
 @pytest.mark.parametrize("label", sorted(DESIGNS))
 def test_compiled_analysis_resolves_all_shipped_processes(label):
-    """No shipped process may fall back to the opaque convergence path, and
-    the compiled settle must land exactly on the oracle's fixed point (the
+    """No shipped process may fall back to the opaque convergence path,
+    every clocked process must become generated edge code, and the
+    compiled settle must land exactly on the oracle's fixed point (the
     ``verify=True`` cross-check re-runs the fixpoint oracle every settle)."""
     factory, expected = DESIGNS[label]
     system = VideoSystem(factory(), frames=[FRAME])
@@ -101,6 +102,11 @@ def test_compiled_analysis_resolves_all_shipped_processes(label):
     assert not report.guarded
     assert report.n_transpiled_procs > 0, \
         "expected at least one process to dissolve into straight-line code"
+    assert report.n_seq_procs > 0
+    assert report.n_compiled_seq_procs == report.n_seq_procs, \
+        report.interpreted
+    # What still runs as a call is exactly the combinational call units.
+    assert len(report.interpreted) == report.n_call_procs
     sim.run_until(lambda: system.sink.count >= len(expected), 50_000)
     assert system.received_pixels() == expected
     assert sim.analysis_misses == 0

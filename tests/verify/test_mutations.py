@@ -1,10 +1,11 @@
 """Mutation smoke test: every seeded protocol bug must be caught.
 
 Five deliberate bugs hide behind construction-time switches in the
-primitives and the queue container (:mod:`repro.verify.mutate`).  For each
-one, a constrained-random session on the matching target must flag at
-least one violation — and with the switch off, the same session must be
-clean.  This is the verification subsystem verifying itself.
+primitives and the queue container, and three more in the code
+generators (:mod:`repro.verify.mutate`).  For each one, a
+constrained-random session on the matching target must flag at least one
+violation — and with the switch off, the same session must be clean.
+This is the verification subsystem verifying itself.
 """
 
 import functools
@@ -24,6 +25,7 @@ MUTATION_TARGETS = {
     "queue.ready_when_full": ("queue/fifo", 800),
     "batched.cross_lane_mask_reuse": ("queue/fifo", 800),
     "batched.stale_lane_commit": ("queue/fifo", 800),
+    "compiled.stale_edge_commit": ("queue/fifo", 800),
 }
 
 #: The batched-emitter faults live in the *code generator*, not a
@@ -103,6 +105,8 @@ SEARCH_BLAST_RADIUS = {
         "queue/fifo.data-mismatch", "queue/fifo.data-stability",
         "queue/fifo.scoreboard"},
     "batched.stale_lane_commit": {
+        "queue/fifo.conservation", "queue/fifo.scoreboard"},
+    "compiled.stale_edge_commit": {
         "queue/fifo.conservation", "queue/fifo.scoreboard"},
 }
 
